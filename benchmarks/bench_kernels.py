@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the kernel backends (compiled extension vs pure Python).
 
-Runs the representative hot loops behind the library -- bulk truncation
-coefficients, polynomial products/gcd, truncated series arithmetic, the
-fractional twist -- on both backends and prints the timings side by side.
+Runs the representative hot loops behind the library -- polynomial
+products/gcd, truncated series arithmetic, the fractional twist -- on both
+backends and prints the timings side by side.  Sequence truncations are not
+kernels (they come from the catalog recurrences) and are not timed here.
 
 Usage:
     python benchmarks/bench_kernels.py [--prime 499] [--repeat 3]
@@ -13,6 +14,7 @@ import random
 import time
 
 from aperylike.kernels import get_backends
+from aperylike.modular_relations import franel_truncation
 
 
 def timed(fn, repeat):
@@ -31,12 +33,8 @@ def workloads(backend, p, rng):
     series_n = 3 * p
     sa = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(series_n - 1)]
     sb = [rng.randrange(p) for _ in range(series_n)]
-    h = backend.trunc_franel(p, p)
+    h = list(franel_truncation(p).coeffs)
     return [
-        (f"trunc_apery({p})", lambda: backend.trunc_apery(p, p)),
-        (f"trunc_franel({p})", lambda: backend.trunc_franel(p, p)),
-        (f"trunc_a005260({p})", lambda: backend.trunc_a005260(p, p)),
-        (f"trunc_a290576({p})", lambda: backend.trunc_a290576(p, p)),
         (f"poly_mul(deg {n})", lambda: backend.poly_mul(a, b, p)),
         (f"poly_gcd(deg {n})", lambda: backend.poly_gcd(a, b, p)),
         (f"series_mul(N={series_n})", lambda: backend.series_mul(sa, sb, series_n, p)),

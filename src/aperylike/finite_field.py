@@ -252,21 +252,36 @@ def factorial_tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(fact), tuple(ifact)
 
 
+@functools.lru_cache(maxsize=128)
+def digit_binomial(p: int):
+    """C(m, k) mod p as a function of (m, k), with the tables of p bound once.
+
+    Digit-product (Lucas) rule; 0 outside 0 <= k <= m.  Bulk evaluators take
+    this function as an argument so the per-prime lookups stay out of their
+    inner loops.
+    """
+    fact, ifact = factorial_tables(p)
+
+    def binom(m: int, k: int) -> int:
+        if k < 0 or m < 0 or k > m:
+            return 0
+        r = 1
+        while k or m:
+            mi = m % p
+            ki = k % p
+            if ki > mi:
+                return 0
+            r = r * fact[mi] % p * ifact[ki] % p * ifact[mi - ki] % p
+            m //= p
+            k //= p
+        return r
+
+    return binom
+
+
 def binomial_lucas(m: int, k: int, p: int) -> int:
     """C(m, k) mod p by the digit-product rule; 0 outside 0 <= k <= m."""
-    if k < 0 or m < 0 or k > m:
-        return 0
-    fact, ifact = factorial_tables(p)
-    r = 1
-    while k or m:
-        mi = m % p
-        ki = k % p
-        if ki > mi:
-            return 0
-        r = r * fact[mi] % p * ifact[ki] % p * ifact[mi - ki] % p
-        m //= p
-        k //= p
-    return r
+    return digit_binomial(p)(m, k)
 
 
 def multinomial_lucas(k: int, p: int) -> int:

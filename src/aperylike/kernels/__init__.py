@@ -1,11 +1,14 @@
 """Kernel backend selection.
 
-The hot loops (bulk truncation coefficients, polynomial products and
-remainders, series convolutions) live behind a small function surface that
-has two interchangeable implementations:
+The hot loops (polynomial products and remainders, series convolutions, the
+fractional twist) live behind a small function surface that has two
+interchangeable implementations:
 
 * ``_ckernels`` -- a compiled Cython extension, used when available;
 * ``pure`` -- plain Python with identical semantics, always available.
+
+Sequence truncations are not here: the catalog recurrences give indices
+below p in O(1) each, see ``sequences.coefficients_mod_p``.
 
 Selection happens once at import.  Set ``APERYLIKE_KERNELS=pure`` or
 ``APERYLIKE_KERNELS=compiled`` to force a backend (the latter raises if the
@@ -38,21 +41,6 @@ poly_gcd = _impl.poly_gcd
 series_mul = _impl.series_mul
 series_inv = _impl.series_inv
 twist_sum = _impl.twist_sum
-
-TRUNC_FUNCS = {
-    "apery": _impl.trunc_apery,
-    "domb": _impl.trunc_domb,
-    "az": _impl.trunc_az,
-    "franel": _impl.trunc_franel,
-    "a229111": _impl.trunc_a229111,
-    "a290575": _impl.trunc_a290575,
-    "a290576": _impl.trunc_a290576,
-    "a274786": _impl.trunc_a274786,
-    "a181418": _impl.trunc_a181418,
-    "a183204": _impl.trunc_a183204,
-    "a005260": _impl.trunc_a005260,
-}
-trunc_gen = _impl.trunc_gen
 
 
 def get_backends():

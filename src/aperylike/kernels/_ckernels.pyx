@@ -255,275 +255,3 @@ def twist_sum(list cs, list num, list den, p_in):
     result = _to_list(acc, lacc)
     free(pc); free(pn); free(pd); free(acc); free(dpow); free(scratch)
     return result
-
-
-# -- sequence truncations -----------------------------------------------------
-
-
-cdef struct Tables:
-    i64* fact
-    i64* ifact
-
-
-cdef Tables _make_tables(i64 p) except *:
-    cdef Tables t
-    t.fact = <i64*>malloc(p * sizeof(i64))
-    t.ifact = <i64*>malloc(p * sizeof(i64))
-    if t.fact == NULL or t.ifact == NULL:
-        if t.fact != NULL: free(t.fact)
-        if t.ifact != NULL: free(t.ifact)
-        raise MemoryError()
-    cdef i64 i
-    t.fact[0] = 1
-    for i in range(1, p):
-        t.fact[i] = t.fact[i - 1] * i % p
-    t.ifact[p - 1] = modpow(t.fact[p - 1], p - 2, p)
-    for i in range(p - 1, 0, -1):
-        t.ifact[i - 1] = t.ifact[i] * i % p
-    return t
-
-
-cdef inline void _free_tables(Tables t) noexcept:
-    free(t.fact)
-    free(t.ifact)
-
-
-cdef inline i64 binom(i64 m, i64 k, i64 p, Tables t) noexcept:
-    if k < 0 or m < 0 or k > m:
-        return 0
-    cdef i64 r = 1, mi, ki
-    while k or m:
-        mi = m % p
-        ki = k % p
-        if ki > mi:
-            return 0
-        r = r * t.fact[mi] % p * t.ifact[ki] % p * t.ifact[mi - ki] % p
-        m //= p
-        k //= p
-    return r
-
-
-def trunc_apery(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b, u
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            b = binom(n, k, p, t)
-            u = binom(n + k, n, p, t)
-            s = (s + b * b % p * (u * u % p)) % p
-        out[n] = s
-    _free_tables(t)
-    return out
-
-
-def trunc_domb(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            b = binom(n, k, p, t)
-            s = (s + binom(2 * k, k, p, t) * binom(2 * n - 2 * k, n - k, p, t) % p
-                 * (b * b % p)) % p
-        if n % 2 and s:
-            s = p - s
-        out[n] = s
-    _free_tables(t)
-    return out
-
-
-def trunc_az(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64* pow3 = <i64*>malloc((count if count else 1) * sizeof(i64))
-    if pow3 == NULL:
-        _free_tables(t)
-        raise MemoryError()
-    cdef i64 n, k, s, term, i
-    pow3[0] = 1
-    for i in range(1, count):
-        pow3[i] = pow3[i - 1] * 3 % p
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n // 3 + 1):
-            term = (binom(3 * k, k, p, t) * binom(2 * k, k, p, t) % p
-                    * pow3[n - 3 * k] % p * binom(n, 3 * k, p, t) % p
-                    * binom(n + k, n, p, t) % p)
-            if (n - k) % 2 and term:
-                term = p - term
-            s = (s + term) % p
-        out[n] = s
-    _free_tables(t)
-    free(pow3)
-    return out
-
-
-def trunc_franel(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            b = binom(n, k, p, t)
-            s = (s + b * b % p * b) % p
-        out[n] = s
-    _free_tables(t)
-    return out
-
-
-def trunc_gen(count_in, p_in, r_in, s_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef i64 r = r_in, sexp = s_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, acc
-    out = [0] * count
-    for n in range(count):
-        acc = 0
-        for k in range(n + 1):
-            acc = (acc + modpow(binom(n, k, p, t), r, p)
-                   * modpow(binom(n + k, n, p, t), sexp, p)) % p
-        out[n] = acc
-    _free_tables(t)
-    return out
-
-
-def trunc_a229111(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b, term
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n // 5 + 1):
-            b = binom(n, k, p, t)
-            term = (b * b % p * b % p
-                    * ((binom(4 * n - 5 * k - 1, 3 * n, p, t)
-                        + binom(4 * n - 5 * k, 3 * n, p, t)) % p) % p)
-            if (n - k) % 2 and term:
-                term = p - term
-            s = (s + term) % p
-        out[n] = s
-    _free_tables(t)
-    return out
-
-
-def trunc_a290575(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b, u
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range((n + 1) // 2, n + 1):
-            b = binom(n, k, p, t)
-            u = binom(2 * k, n, p, t)
-            s = (s + b * b % p * (u * u % p)) % p
-        out[n] = s
-    _free_tables(t)
-    return out
-
-
-def trunc_a290576(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, l, s, b, b2
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            b = binom(n, k, p, t)
-            b2 = b * b % p
-            if not b2:
-                continue
-            l = n - k
-            if l < 0:
-                l = 0
-            while l <= k:
-                s = (s + b2 * binom(n, l, p, t) % p * binom(k, l, p, t) % p
-                     * binom(k + l, n, p, t)) % p
-                l += 1
-        out[n] = s
-    _free_tables(t)
-    return out
-
-
-def trunc_a274786(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            b = binom(n, k, p, t)
-            s = (s + b * b % p * binom(n + k, k, p, t)) % p
-        out[n] = s * binom(2 * n, n, p, t) % p
-    _free_tables(t)
-    return out
-
-
-def trunc_a181418(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            b = binom(n, k, p, t)
-            s = (s + b * b % p * b) % p
-        out[n] = s * binom(2 * n, n, p, t) % p
-    _free_tables(t)
-    return out
-
-
-def trunc_a183204(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range((n + 1) // 2, n + 1):
-            b = binom(n, k, p, t)
-            s = (s + b * b % p * binom(2 * k, n, p, t) % p
-                 * binom(k + n, n, p, t)) % p
-        out[n] = s
-    _free_tables(t)
-    return out
-
-
-def trunc_a005260(count_in, p_in):
-    cdef i64 p = p_in
-    cdef i64 count = count_in
-    cdef Tables t = _make_tables(p)
-    cdef i64 n, k, s, b, b2
-    out = [0] * count
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            b = binom(n, k, p, t)
-            b2 = b * b % p
-            s = (s + b2 * b2) % p
-        out[n] = s
-    _free_tables(t)
-    return out

@@ -7,10 +7,10 @@ this module function for function; the contracts below are shared:
   already reduced into [0, p);
 * ``poly_mul`` takes nonempty inputs and returns the full product without
   trimming trailing zeros;
-* ``poly_divrem`` / ``poly_gcd`` return trimmed lists (empty list = zero);
-* ``trunc_*`` return the first ``count`` coefficients of the named sequence
-  reduced mod p; indices at and beyond p are handled digit-wise, so any
-  ``count`` is valid.
+* ``poly_divrem`` / ``poly_gcd`` return trimmed lists (empty list = zero).
+
+Sequence truncations are not kernels: ``sequences.coefficients_mod_p`` steps
+the catalog recurrences for indices below p and sums digit-wise beyond.
 """
 
 NAME = "pure"
@@ -107,196 +107,3 @@ def twist_sum(cs, num, den, p):
                 if d:
                     acc[j] = (acc[j] + c * d) % p
     return _trim(acc)
-
-
-# -- sequence truncations ---------------------------------------------------
-
-
-def _tables(p):
-    fact = [1] * p
-    for i in range(1, p):
-        fact[i] = fact[i - 1] * i % p
-    ifact = [1] * p
-    ifact[p - 1] = pow(fact[p - 1], p - 2, p)
-    for i in range(p - 1, 0, -1):
-        ifact[i - 1] = ifact[i] * i % p
-    return fact, ifact
-
-
-def _binom_maker(p):
-    """General binomial mod p via base-p digits; 0 outside 0 <= k <= m."""
-    fact, ifact = _tables(p)
-
-    def binom(m, k):
-        if k < 0 or m < 0 or k > m:
-            return 0
-        r = 1
-        while k or m:
-            mi = m % p
-            ki = k % p
-            if ki > mi:
-                return 0
-            r = r * fact[mi] % p * ifact[ki] % p * ifact[mi - ki] % p
-            m //= p
-            k //= p
-        return r
-
-    return binom
-
-
-def trunc_apery(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            t = binom(n, k)
-            u = binom(n + k, n)
-            s += t * t % p * (u * u % p)
-        out.append(s % p)
-    return out
-
-
-def trunc_domb(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            t = binom(n, k)
-            s += binom(2 * k, k) * binom(2 * n - 2 * k, n - k) % p * (t * t % p)
-        s %= p
-        out.append(p - s if n % 2 and s else s)
-    return out
-
-
-def trunc_az(count, p):
-    binom = _binom_maker(p)
-    pow3 = [1] * max(count, 1)
-    for i in range(1, count):
-        pow3[i] = pow3[i - 1] * 3 % p
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n // 3 + 1):
-            term = (binom(3 * k, k) * binom(2 * k, k) % p * pow3[n - 3 * k] % p
-                    * binom(n, 3 * k) % p * binom(n + k, n) % p)
-            s += p - term if (n - k) % 2 and term else term
-        out.append(s % p)
-    return out
-
-
-def trunc_franel(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            t = binom(n, k)
-            s += t * t % p * t
-        out.append(s % p)
-    return out
-
-
-def trunc_gen(count, p, r, s):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        acc = 0
-        for k in range(n + 1):
-            acc += pow(binom(n, k), r, p) * pow(binom(n + k, n), s, p)
-        out.append(acc % p)
-    return out
-
-
-def trunc_a229111(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n // 5 + 1):
-            t = binom(n, k)
-            term = t * t % p * t % p * ((binom(4 * n - 5 * k - 1, 3 * n)
-                                         + binom(4 * n - 5 * k, 3 * n)) % p) % p
-            s += p - term if (n - k) % 2 and term else term
-        out.append(s % p)
-    return out
-
-
-def trunc_a290575(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range((n + 1) // 2, n + 1):
-            t = binom(n, k)
-            u = binom(2 * k, n)
-            s += t * t % p * (u * u % p)
-        out.append(s % p)
-    return out
-
-
-def trunc_a290576(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            t = binom(n, k)
-            t2 = t * t % p
-            if not t2:
-                continue
-            for l in range(max(0, n - k), k + 1):
-                s += t2 * binom(n, l) % p * binom(k, l) % p * binom(k + l, n)
-            s %= p
-        out.append(s % p)
-    return out
-
-
-def trunc_a274786(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            t = binom(n, k)
-            s += t * t % p * binom(n + k, k)
-        out.append(s % p * binom(2 * n, n) % p)
-    return out
-
-
-def trunc_a181418(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            t = binom(n, k)
-            s += t * t % p * t
-        out.append(s % p * binom(2 * n, n) % p)
-    return out
-
-
-def trunc_a183204(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range((n + 1) // 2, n + 1):
-            t = binom(n, k)
-            s += t * t % p * binom(2 * k, n) % p * binom(k + n, n)
-        out.append(s % p)
-    return out
-
-
-def trunc_a005260(count, p):
-    binom = _binom_maker(p)
-    out = []
-    for n in range(count):
-        s = 0
-        for k in range(n + 1):
-            t = binom(n, k)
-            t2 = t * t % p
-            s += t2 * t2
-        out.append(s % p)
-    return out

@@ -16,7 +16,7 @@ from .errors import IdentityViolationError
 from .families import FAMILIES, FamilySpec
 from .fp_poly import FpPoly
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
-from .sequences import CATALOG, coefficients_mod_p
+from .sequences import CATALOG, coefficients_mod_p, truncation_poly
 
 
 def _family(family: str) -> FamilySpec:
@@ -27,11 +27,11 @@ def _family(family: str) -> FamilySpec:
 
 def franel_truncation(p: int) -> FpPoly:
     """H = sum_{n<p} (sum_k C(n,k)^3) x^n; degree p-1 with unit ends."""
-    return FpPoly(kernels.TRUNC_FUNCS["franel"](p, p), p)
+    return truncation_poly(CATALOG["franel"], p)
 
 
 def franel_series(p: int, precision: int) -> FpSeries:
-    return FpSeries(kernels.TRUNC_FUNCS["franel"](precision, p), p, _trusted=True)
+    return FpSeries(coefficients_mod_p(CATALOG["franel"], precision, p), p, _trusted=True)
 
 
 def verify_ode(p: int) -> bool:

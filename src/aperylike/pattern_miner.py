@@ -479,9 +479,10 @@ def sweep(
     if in_range:
         rng = random.Random(f"{seq.key}:{lo}:{hi}")
         for p in rng.sample(in_range, max(1, len(in_range) // 100)):
-            if cached[p].to_json_dict() != compute_record(seq, p).to_json_dict():
+            rec = compute_record(seq, p)
+            if cached[p].to_json_dict() != rec.to_json_dict():
                 log.warning("%s: cached record at p=%d is stale; recomputed", seq.key, p)
-                cached[p] = compute_record(seq, p)
+                cached[p] = rec
 
     merged = {rec.p: rec for rec in fresh}
     merged.update(cached)

@@ -1,12 +1,19 @@
-"""The sequence catalog: exact big-integer evaluators, fast mod-p
-evaluators, bulk truncations, and ingestion of external coefficient files.
+"""The sequence catalog: exact big-integer evaluators, mod-p summands,
+three-term recurrences, and ingestion of external coefficient files.
 
-For every built-in sequence there are two independent routes to a value:
+Each built-in sequence is written down twice, plus one row of integer data:
 
-* ``term_exact`` sums the defining formula with big-integer binomials and
-  is the oracle;
-* ``term_mod_p`` / ``coefficients_mod_p`` evaluate the same formula in F_p
-  with digit-wise binomials, so indices at and beyond p stay cheap.
+* ``exact`` sums the defining formula with big-integer binomials and is the
+  oracle;
+* ``mod`` sums the same formula in F_p with digit-wise (Lucas) binomials, so
+  indices at and beyond p stay cheap; it serves ``term_mod_p``, indices
+  n >= p of ``coefficients_mod_p`` and the generalized family;
+* the catalog row stores the recurrence (n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1},
+  which ``coefficients_mod_p`` steps mod p for indices n < p, one O(1) step
+  per coefficient.  The leading coefficient is a unit mod p exactly there.
+
+Indices n >= p never come from the recurrence or from the Lucas product
+a_(np+l) = a_n a_l: ``verify_lucas_property`` tests that product.
 """
 from __future__ import annotations
 
@@ -14,9 +21,8 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from . import kernels
 from .errors import BFileError
-from .finite_field import binomial_lucas, multinomial_lucas, pow_mod
+from .finite_field import digit_binomial
 from .fp_poly import FpPoly
 
 
@@ -92,109 +98,112 @@ def a005260_exact(n: int) -> int:
     return sum(math.comb(n, k) ** 4 for k in range(n + 1))
 
 
-# -- mod-p single-term evaluators ---------------------------------------------
+# -- mod-p summands -------------------------------------------------------------
+#
+# Each takes the per-prime digit-wise binomial ``binom = digit_binomial(p)`` as
+# an argument, so callers that evaluate many indices build it once.
 
-def _apery_mod(n: int, p: int) -> int:
+def _apery_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n + 1):
-        t = binomial_lucas(n, k, p)
-        u = binomial_lucas(n + k, n, p)
+        t = binom(n, k)
+        u = binom(n + k, n)
         s += t * t % p * (u * u % p)
     return s % p
 
 
-def _domb_mod(n: int, p: int) -> int:
+def _domb_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n + 1):
-        t = binomial_lucas(n, k, p)
-        s += (binomial_lucas(2 * k, k, p) * binomial_lucas(2 * n - 2 * k, n - k, p) % p
-              * (t * t % p))
+        t = binom(n, k)
+        s += binom(2 * k, k) * binom(2 * n - 2 * k, n - k) % p * (t * t % p)
     s %= p
-    return (p - s) % p if n % 2 else s
+    return p - s if n % 2 and s else s
 
 
-def _az_mod(n: int, p: int) -> int:
+def _az_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n // 3 + 1):
-        term = (multinomial_lucas(k, p) * pow_mod(3, n - 3 * k, p) % p
-                * binomial_lucas(n, 3 * k, p) % p * binomial_lucas(n + k, n, p) % p)
+        b = binom(n, 3 * k)
+        if not b:
+            continue
+        term = (binom(3 * k, k) * binom(2 * k, k) % p * pow(3, n - 3 * k, p) % p
+                * b % p * binom(n + k, n) % p)
         s += p - term if (n - k) % 2 and term else term
     return s % p
 
 
-def _franel_mod(n: int, p: int) -> int:
+def _franel_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n + 1):
-        t = binomial_lucas(n, k, p)
+        t = binom(n, k)
         s += t * t % p * t
     return s % p
 
 
-def _gen_mod(r: int, s: int, n: int, p: int) -> int:
+def _gen_mod(r: int, s: int, n: int, p: int, binom) -> int:
     acc = 0
     for k in range(n + 1):
-        acc += pow_mod(binomial_lucas(n, k, p), r, p) * pow_mod(binomial_lucas(n + k, n, p), s, p)
+        acc += pow(binom(n, k), r, p) * pow(binom(n + k, n), s, p)
     return acc % p
 
 
-def _a229111_mod(n: int, p: int) -> int:
+def _a229111_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n // 5 + 1):
-        t = binomial_lucas(n, k, p)
-        term = (t * t % p * t % p
-                * ((binomial_lucas(4 * n - 5 * k - 1, 3 * n, p)
-                    + binomial_lucas(4 * n - 5 * k, 3 * n, p)) % p) % p)
+        t = binom(n, k)
+        term = t * t % p * t % p * ((binom(4 * n - 5 * k - 1, 3 * n)
+                                     + binom(4 * n - 5 * k, 3 * n)) % p) % p
         s += p - term if (n - k) % 2 and term else term
     return s % p
 
 
-def _a290575_mod(n: int, p: int) -> int:
+def _a290575_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range((n + 1) // 2, n + 1):
-        t = binomial_lucas(n, k, p)
-        u = binomial_lucas(2 * k, n, p)
+        t = binom(n, k)
+        u = binom(2 * k, n)
         s += t * t % p * (u * u % p)
     return s % p
 
 
-def _a290576_mod(n: int, p: int) -> int:
+def _a290576_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n + 1):
-        t = binomial_lucas(n, k, p)
+        t = binom(n, k)
         t2 = t * t % p
         if not t2:
             continue
         for l in range(max(0, n - k), k + 1):
-            s += (t2 * binomial_lucas(n, l, p) % p * binomial_lucas(k, l, p) % p
-                  * binomial_lucas(k + l, n, p))
+            s += t2 * binom(n, l) % p * binom(k, l) % p * binom(k + l, n)
         s %= p
     return s % p
 
 
-def _a274786_mod(n: int, p: int) -> int:
+def _a274786_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n + 1):
-        t = binomial_lucas(n, k, p)
-        s += t * t % p * binomial_lucas(n + k, k, p)
-    return s % p * binomial_lucas(2 * n, n, p) % p
+        t = binom(n, k)
+        s += t * t % p * binom(n + k, k)
+    return s % p * binom(2 * n, n) % p
 
 
-def _a181418_mod(n: int, p: int) -> int:
-    return _franel_mod(n, p) * binomial_lucas(2 * n, n, p) % p
+def _a181418_mod(n: int, p: int, binom) -> int:
+    return _franel_mod(n, p, binom) * binom(2 * n, n) % p
 
 
-def _a183204_mod(n: int, p: int) -> int:
+def _a183204_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range((n + 1) // 2, n + 1):
-        t = binomial_lucas(n, k, p)
-        s += t * t % p * binomial_lucas(2 * k, n, p) % p * binomial_lucas(k + n, n, p)
+        t = binom(n, k)
+        s += t * t % p * binom(2 * k, n) % p * binom(k + n, n)
     return s % p
 
 
-def _a005260_mod(n: int, p: int) -> int:
+def _a005260_mod(n: int, p: int, binom) -> int:
     s = 0
     for k in range(n + 1):
-        t = binomial_lucas(n, k, p)
+        t = binom(n, k)
         t2 = t * t % p
         s += t2 * t2
     return s % p
@@ -211,12 +220,38 @@ class CoefficientTable:
 
 
 @dataclass(frozen=True)
+class Recurrence:
+    """(n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1} for n >= 1, with u_0 = 1.
+
+    ``b`` and ``c`` are integer polynomials in n, coefficients ascending.
+    """
+
+    k: int
+    u1: int
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+
+    def terms_mod_p(self, count: int, p: int) -> list[int]:
+        """u_0, ..., u_(count-1) mod p for count <= p, where (n+1)^k is a unit."""
+        out = [1, self.u1 % p][:max(count, 0)]
+        b, c = self.b[::-1], self.c[::-1]
+        for n in range(1, count - 1):
+            bn = cn = 0
+            for x in b:
+                bn = bn * n + x
+            for x in c:
+                cn = cn * n + x
+            out.append((bn * out[n] + cn * out[n - 1]) * pow(n + 1, -self.k, p) % p)
+        return out
+
+
+@dataclass(frozen=True)
 class SequenceSpec:
     key: str
     description: str
     exact: object = None          # callable n -> int
-    mod: object = None            # callable (n, p) -> int
-    bulk_key: str | None = None   # kernel truncation function key
+    mod: object = None            # callable (n, p, digit_binomial(p)) -> int
+    recurrence: Recurrence | None = None
     gen_params: tuple[int, int] | None = None
     level: int | None = None
     known_lucas: bool = True
@@ -228,28 +263,50 @@ class SequenceSpec:
         return self.table is not None
 
 
+# (key, description, exact, mod, (k, u1, b, c) of the recurrence, level, OEIS);
+# every recurrence holds for all n <= 300 (a290576: n <= 204), see the tests.
 _CATALOG_ROWS = [
-    ("apery", "sum_k C(n,k)^2 C(n+k,n)^2", apery_exact, _apery_mod, None, "A005259"),
+    ("apery", "sum_k C(n,k)^2 C(n+k,n)^2", apery_exact, _apery_mod,
+     # b = (2n+1)(17n^2+17n+5), c = -n^3
+     (3, 5, (5, 27, 51, 34), (0, 0, 0, -1)), None, "A005259"),
     ("domb", "(-1)^n sum_k C(2k,k) C(2n-2k,n-k) C(n,k)^2 (alternating Domb)",
-     domb_exact, _domb_mod, None, "A002895 (signed)"),
-    ("az", "sum_k (-1)^(n-k) 3^(n-3k) (3k)!/k!^3 C(n,3k) C(n+k,n)",
-     az_exact, _az_mod, None, "A125143"),
-    ("franel", "sum_k C(n,k)^3", franel_exact, _franel_mod, None, "A000172"),
+     domb_exact, _domb_mod,
+     # b = -2(2n+1)(5n^2+5n+2), c = -64n^3
+     (3, -4, (-4, -18, -30, -20), (0, 0, 0, -64)), None, "A002895 (signed)"),
+    ("az", "sum_k (-1)^(n-k) 3^(n-3k) (3k)!/k!^3 C(n,3k) C(n+k,n)", az_exact, _az_mod,
+     # b = -(2n+1)(7n^2+7n+3), c = -81n^3
+     (3, -3, (-3, -13, -21, -14), (0, 0, 0, -81)), None, "A125143"),
+    ("franel", "sum_k C(n,k)^3", franel_exact, _franel_mod,
+     # b = 7n^2+7n+2, c = 8n^2
+     (2, 2, (2, 7, 7), (0, 0, 8)), None, "A000172"),
     ("a229111", "sum_k (-1)^(n-k) C(n,k)^3 (C(4n-5k-1,3n) + C(4n-5k,3n))",
-     a229111_exact, _a229111_mod, None, "A229111"),
-    ("a290575", "sum_k C(n,k)^2 C(2k,n)^2", a290575_exact, _a290575_mod, None, "A290575"),
-    ("a290576", "sum_{k,l} C(n,k)^2 C(n,l) C(k,l) C(k+l,n)",
-     a290576_exact, _a290576_mod, None, "A290576"),
-    ("a274786", "C(2n,n) sum_k C(n,k)^2 C(n+k,k)", a274786_exact, _a274786_mod, 5, "A274786"),
-    ("a181418", "C(2n,n) sum_k C(n,k)^3", a181418_exact, _a181418_mod, 6, "A181418"),
-    ("a183204", "sum_k C(n,k)^2 C(2k,n) C(k+n,n)", a183204_exact, _a183204_mod, 7, "A183204"),
-    ("a005260", "sum_k C(n,k)^4", a005260_exact, _a005260_mod, 10, "A005260"),
+     a229111_exact, _a229111_mod,
+     # b = -(2n+1)(11n^2+11n+5), c = -125n^3
+     (3, -5, (-5, -21, -33, -22), (0, 0, 0, -125)), None, "A229111"),
+    ("a290575", "sum_k C(n,k)^2 C(2k,n)^2", a290575_exact, _a290575_mod,
+     # b = 4(2n+1)(3n^2+3n+1), c = -16n^3
+     (3, 4, (4, 20, 36, 24), (0, 0, 0, -16)), None, "A290575"),
+    ("a290576", "sum_{k,l} C(n,k)^2 C(n,l) C(k,l) C(k+l,n)", a290576_exact, _a290576_mod,
+     # b = 3(2n+1)(3n^2+3n+1), c = 27n^3
+     (3, 3, (3, 15, 27, 18), (0, 0, 0, 27)), None, "A290576"),
+    ("a274786", "C(2n,n) sum_k C(n,k)^2 C(n+k,k)", a274786_exact, _a274786_mod,
+     # b = 2(2n+1)(11n^2+11n+3), c = 4n(2n-1)(2n+1)
+     (3, 6, (6, 34, 66, 44), (0, -4, 0, 16)), 5, "A274786"),
+    ("a181418", "C(2n,n) sum_k C(n,k)^3", a181418_exact, _a181418_mod,
+     # b = 2(2n+1)(7n^2+7n+2), c = 32n(2n-1)(2n+1)
+     (3, 4, (4, 22, 42, 28), (0, -32, 0, 128)), 6, "A181418"),
+    ("a183204", "sum_k C(n,k)^2 C(2k,n) C(k+n,n)", a183204_exact, _a183204_mod,
+     # b = (2n+1)(13n^2+13n+4), c = 3n(3n-1)(3n+1)
+     (3, 4, (4, 21, 39, 26), (0, -3, 0, 27)), 7, "A183204"),
+    ("a005260", "sum_k C(n,k)^4", a005260_exact, _a005260_mod,
+     # b = 2(2n+1)(3n^2+3n+1), c = 4n(4n-1)(4n+1)
+     (3, 2, (2, 10, 18, 12), (0, -4, 0, 64)), 10, "A005260"),
 ]
 
 CATALOG: dict[str, SequenceSpec] = {
     key: SequenceSpec(key=key, description=desc, exact=exact, mod=mod,
-                      bulk_key=key, level=level, oeis=oeis)
-    for key, desc, exact, mod, level, oeis in _CATALOG_ROWS
+                      recurrence=Recurrence(*rec), level=level, oeis=oeis)
+    for key, desc, exact, mod, rec, level, oeis in _CATALOG_ROWS
 }
 
 
@@ -337,22 +394,24 @@ def term_mod_p(seq: SequenceSpec, n: int, p: int) -> int:
         raise ValueError("index must be nonnegative")
     if seq.is_external:
         return term_exact(seq, n) % p
-    return seq.mod(n, p)
+    return seq.mod(n, p, digit_binomial(p))
 
 
 def coefficients_mod_p(seq: SequenceSpec, count: int, p: int) -> list[int]:
-    """First ``count`` coefficients mod p, via the kernel backend when available."""
+    """First ``count`` coefficients mod p.
+
+    Indices below p come from the catalog recurrence; indices at and beyond
+    p, and every index of a sequence without one, from the digit-wise summand.
+    """
     if seq.is_external:
         if count > len(seq.table.values):
             raise ValueError(
                 f"{seq.key} has {len(seq.table.values)} terms; need {count}")
         return [v % p for v in seq.table.values[:count]]
-    if seq.bulk_key is not None:
-        return kernels.TRUNC_FUNCS[seq.bulk_key](count, p)
-    if seq.gen_params is not None:
-        r, s = seq.gen_params
-        return kernels.trunc_gen(count, p, r, s)
-    return [seq.mod(n, p) for n in range(count)]
+    out = seq.recurrence.terms_mod_p(min(count, p), p) if seq.recurrence else []
+    binom = digit_binomial(p)
+    out.extend(seq.mod(n, p, binom) for n in range(len(out), count))
+    return out
 
 
 def truncation_poly(seq: SequenceSpec, p: int) -> FpPoly:

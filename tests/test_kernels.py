@@ -71,27 +71,3 @@ class TestPolyKernels:
             if den[-1] == 0:
                 den[-1] = rng.randrange(1, p)
             assert pure.twist_sum(cs, num, den, p) == fast.twist_sum(cs, num, den, p)
-
-
-class TestTruncKernels:
-    NAMES = ["trunc_apery", "trunc_domb", "trunc_az", "trunc_franel",
-             "trunc_a229111", "trunc_a290575", "trunc_a290576",
-             "trunc_a274786", "trunc_a181418", "trunc_a183204",
-             "trunc_a005260"]
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_agreement(self, name):
-        pure, fast = pair()
-        for p in (5, 13, 101):
-            count = 2 * p + 3  # crosses the first base-p digit boundary
-            assert getattr(pure, name)(count, p) == getattr(fast, name)(count, p)
-
-    def test_gen(self):
-        pure, fast = pair()
-        for (r, s) in ((0, 0), (1, 1), (2, 2), (4, 0)):
-            for p in (5, 13):
-                assert pure.trunc_gen(2 * p, p, r, s) == fast.trunc_gen(2 * p, p, r, s)
-
-    def test_zero_count(self):
-        pure, fast = pair()
-        assert pure.trunc_apery(0, 7) == fast.trunc_apery(0, 7) == []

@@ -1,7 +1,9 @@
 import json
+import logging
 
 import pytest
 
+from aperylike import pattern_miner
 from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import GaloisResult, TruncationRecord, compute_record
 from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
@@ -156,6 +158,30 @@ class TestSweepCache:
         sweep(CATALOG["apery"], 5, 60, cache_path=cache)
         part = sweep(CATALOG["apery"], 20, 40, cache_path=cache)
         assert [r.p for r in part] == primes_in_range(20, 40)
+
+    def test_stale_hit_recomputed_once(self, tmp_path, monkeypatch, caplog):
+        cache = tmp_path / "cache.jsonl"
+        fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
+        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
+        for data in tampered:
+            data["degree"] = 1  # the true degree is (p-1)/2 or p-1
+        cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
+
+        calls = []
+
+        def counting(seq, p):
+            calls.append(p)
+            return compute_record(seq, p)
+
+        monkeypatch.setattr(pattern_miner, "compute_record", counting)
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            out = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
+        # 15 cached primes: the spot check samples exactly one
+        assert len(calls) == 1
+        sampled = calls[0]
+        assert out[sampled] == fresh[sampled]
+        assert all(out[p]["degree"] == 1 for p in out if p != sampled)
+        assert f"cached record at p={sampled} is stale" in caplog.text
 
 
 class TestDeterminism:

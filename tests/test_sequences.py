@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -77,6 +78,46 @@ class TestRecurrenceCrossChecks:
             lambda n: -125 * n ** 3,
             lambda n: (n + 1) ** 3, 60)
         assert [term_exact(CATALOG["a229111"], n) for n in range(60)] == want
+
+
+def _poly(coeffs, n):
+    return sum(c * n ** i for i, c in enumerate(coeffs))
+
+
+# a290576's exact double sum is O(n^2) per term; the rest reach n = 300
+EXACT_LAST = {"a290576": 204}
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_terms(key):
+    spec = CATALOG[key]
+    return [term_exact(spec, n) for n in range(EXACT_LAST.get(key, 300) + 1)]
+
+
+class TestCatalogRecurrences:
+    """The recurrence stored in each catalog row, run over the integers with
+    exact division, against the exact sums."""
+
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_matches_exact(self, key):
+        rec = CATALOG[key].recurrence
+        exact = _exact_terms(key)
+        want = _by_recurrence(
+            1, rec.u1,
+            lambda n: _poly(rec.b, n),
+            lambda n: _poly(rec.c, n),
+            lambda n: (n + 1) ** rec.k, len(exact))
+        assert exact == want
+
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_across_digit_boundary(self, key):
+        # count 2p+3 crosses the first base-p digit: recurrence below p,
+        # digit-wise summand from p on
+        spec = CATALOG[key]
+        exact = _exact_terms(key)
+        for p in (5, 13, 101):
+            count = 2 * p + 3
+            assert coefficients_mod_p(spec, count, p) == [e % p for e in exact[:count]]
 
 
 class TestModP:
