@@ -2,8 +2,8 @@
 
 Coefficients are stored ascending (index = exponent) with no trailing
 zeros; the zero polynomial has an empty coefficient tuple and degree -inf.
-Products dispatch to the kernel schoolbook below a size threshold and to
-Karatsuba above it.
+Every product is the Kronecker substitution ``kernels.poly_mul``;
+``mul_schoolbook`` is the independent quadratic oracle it is tested against.
 """
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from . import kernels
 from .finite_field import inv_mod, sqrt_mod
-
-KARATSUBA_THRESHOLD = 32
 
 _NEG_INF = float("-inf")
 
@@ -105,12 +103,8 @@ class FpPoly:
         self._check(other)
         if not self or not other:
             return FpPoly.zero(self.p)
-        a, b = list(self.coeffs), list(other.coeffs)
-        if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
-            out = kernels.poly_mul(a, b, self.p)
-        else:
-            out = mul_karatsuba(a, b, self.p)
-        return FpPoly(out, self.p)
+        # lc(self) * lc(other) != 0 mod p, so the product needs no trimming
+        return FpPoly(kernels.poly_mul(self.coeffs, other.coeffs, self.p), self.p, _trusted=True)
 
     __rmul__ = __mul__
 
@@ -212,19 +206,7 @@ class FpPoly:
 
     def square_cofactor(self) -> "SquareCofactor":
         """Split self = c * P * B^2 with P the monic squarefree odd-multiplicity part."""
-        parts = self.squarefree_decomposition()
-        p = self.p
-        cof = FpPoly.one(p)
-        root = FpPoly.one(p)
-        for g, e in parts:
-            if e % 2:
-                cof = cof * g
-            if e // 2:
-                root = root * g ** (e // 2)
-        result = SquareCofactor(self.lc(), cof, root)
-        if result.expand() != self:
-            raise ArithmeticError("square cofactor re-expansion failed")
-        return result
+        return SquareCofactor.from_parts(self, self.squarefree_decomposition())
 
     def is_perfect_square(self) -> "FpPoly | None":
         """A square root in F_p[t] when one exists, else None.
@@ -295,33 +277,13 @@ def _list_add(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def mul_schoolbook(a: list[int], b: list[int], p: int) -> list[int]:
-    """Quadratic product on raw coefficient lists (kernel-backed)."""
-    return kernels.poly_mul(a, b, p)
-
-
-def mul_karatsuba(a: list[int], b: list[int], p: int) -> list[int]:
-    """Karatsuba product on raw coefficient lists, kernel base case.
-
-    The split point is half the shorter operand, so both low parts are
-    nonempty and the recursion terminates for unbalanced inputs too.
-    """
-    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
-        return kernels.poly_mul(a, b, p)
-    m = min(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = mul_karatsuba(a0, b0, p)
-    z2 = mul_karatsuba(a1, b1, p)
-    z1 = mul_karatsuba(_list_add(a0, a1, p), _list_add(b0, b1, p), p)
+    """Quadratic product on raw coefficient lists; the oracle for the
+    Kronecker product, so it must not call ``kernels``."""
     out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] = (out[i] + c) % p
-    for i, c in enumerate(z2):
-        out[2 * m + i] = (out[2 * m + i] + c) % p
-    lz0, lz2 = len(z0), len(z2)
-    for i in range(len(z1)):
-        c = z1[i] - (z0[i] if i < lz0 else 0) - (z2[i] if i < lz2 else 0)
-        out[m + i] = (out[m + i] + c) % p
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
     return out
 
 
@@ -340,6 +302,22 @@ class SquareCofactor:
     c: int
     cofactor: FpPoly
     root: FpPoly
+
+    @classmethod
+    def from_parts(cls, a: FpPoly, parts: list[tuple[FpPoly, int]]) -> "SquareCofactor":
+        """Split a given its squarefree decomposition; checks the re-expansion."""
+        p = a.p
+        cof = FpPoly.one(p)
+        root = FpPoly.one(p)
+        for g, e in parts:
+            if e % 2:
+                cof = cof * g
+            if e // 2:
+                root = root * g ** (e // 2)
+        result = cls(a.lc(), cof, root)
+        if result.expand() != a:
+            raise ArithmeticError("square cofactor re-expansion failed")
+        return result
 
     def expand(self) -> FpPoly:
         return (self.cofactor * self.root * self.root).scale(self.c)

@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
 The hot loops (polynomial products and remainders, series convolutions, the
-fractional twist) live behind a small function surface that has two
-interchangeable implementations:
+fractional twist) live behind a small function surface.  Products
+(``poly_mul``, ``series_mul``) have one implementation under every backend,
+the Kronecker substitution in ``pure``.  Division, gcd and the twist have
+two interchangeable implementations:
 
 * ``_ckernels`` -- a compiled Cython extension, used when available;
 * ``pure`` -- plain Python with identical semantics, always available.
@@ -35,11 +37,10 @@ else:
 
 BACKEND = _impl.NAME
 
-poly_mul = _impl.poly_mul
+poly_mul = _pure.poly_mul
+series_mul = _pure.series_mul
 poly_divrem = _impl.poly_divrem
 poly_gcd = _impl.poly_gcd
-series_mul = _impl.series_mul
-series_inv = _impl.series_inv
 twist_sum = _impl.twist_sum
 
 

@@ -1,5 +1,8 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernel backend; mirrors ``pure`` function for function.
+"""Compiled kernel backend: ``poly_divrem``, ``poly_gcd`` and ``twist_sum``,
+with the semantics of the ``pure`` functions of the same names.  Products
+are not here; ``kernels`` binds ``poly_mul`` and ``series_mul`` to the
+Kronecker substitution in ``pure`` under every backend.
 
 All residues live in [0, p) with p < 2^31, so every product fits in a
 signed 64-bit integer and one reduction per multiply-add keeps the
@@ -39,30 +42,6 @@ cdef list _to_list(i64* buf, Py_ssize_t n):
     for i in range(n):
         out[i] = buf[i]
     return out
-
-
-def poly_mul(list a, list b, p_in):
-    """Schoolbook product; len(out) == len(a)+len(b)-1, untrimmed."""
-    cdef i64 p = p_in
-    cdef Py_ssize_t la = len(a), lb = len(b), i, j
-    cdef i64 x
-    cdef i64* pa = _to_buf(a)
-    cdef i64* pb = _to_buf(b)
-    cdef Py_ssize_t lo = la + lb - 1
-    cdef i64* out = <i64*>malloc(lo * sizeof(i64))
-    if out == NULL:
-        free(pa); free(pb)
-        raise MemoryError()
-    for i in range(lo):
-        out[i] = 0
-    for i in range(la):
-        x = pa[i]
-        if x:
-            for j in range(lb):
-                out[i + j] = (out[i + j] + x * pb[j]) % p
-    result = _to_list(out, lo)
-    free(pa); free(pb); free(out)
-    return result
 
 
 def poly_divrem(list a, list b, p_in):
@@ -138,57 +117,6 @@ def poly_gcd(list a, list b, p_in):
         u[i] = u[i] * inv_lead % p
     result = _to_list(u, la)
     free(u); free(v)
-    return result
-
-
-def series_mul(list a, list b, n_in, p_in):
-    """Product truncated at order n; returns exactly n coefficients."""
-    cdef i64 p = p_in
-    cdef Py_ssize_t n = n_in, la = len(a), lb = len(b), i, j, jmax
-    cdef i64 x
-    cdef i64* pa = _to_buf(a)
-    cdef i64* pb = _to_buf(b)
-    cdef i64* out = <i64*>malloc((n if n else 1) * sizeof(i64))
-    if out == NULL:
-        free(pa); free(pb)
-        raise MemoryError()
-    for i in range(n):
-        out[i] = 0
-    if la > n:
-        la = n
-    for i in range(la):
-        x = pa[i]
-        if x:
-            jmax = n - i
-            if jmax > lb:
-                jmax = lb
-            for j in range(jmax):
-                out[i + j] = (out[i + j] + x * pb[j]) % p
-    result = _to_list(out, n)
-    free(pa); free(pb); free(out)
-    return result
-
-
-def series_inv(list a, n_in, p_in):
-    """Series inverse to order n; a[0] must be nonzero."""
-    cdef i64 p = p_in
-    cdef Py_ssize_t n = n_in, la = len(a), i, k, kmax
-    cdef i64* pa = _to_buf(a)
-    cdef i64* out = <i64*>malloc((n if n else 1) * sizeof(i64))
-    if out == NULL:
-        free(pa)
-        raise MemoryError()
-    cdef i64 inv0 = modpow(pa[0], p - 2, p)
-    cdef i64 s
-    out[0] = inv0
-    for i in range(1, n):
-        s = 0
-        kmax = i if i < la - 1 else la - 1
-        for k in range(1, kmax + 1):
-            s = (s + pa[k] * out[i - k]) % p
-        out[i] = (p - s) % p * inv0 % p
-    result = _to_list(out, n)
-    free(pa); free(out)
     return result
 
 

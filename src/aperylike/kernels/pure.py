@@ -1,29 +1,66 @@
 """Pure-Python kernel backend.
 
-Reference implementation of the hot loops.  The compiled backend mirrors
-this module function for function; the contracts below are shared:
+Reference implementation of the hot loops; the contracts below are shared
+with the compiled backend, which implements only ``poly_divrem``,
+``poly_gcd`` and ``twist_sum``:
 
 * polynomial coefficient lists are ascending (index = exponent) with entries
-  already reduced into [0, p);
+  already reduced into [0, p), p < 2^31; the products also take tuples;
 * ``poly_mul`` takes nonempty inputs and returns the full product without
   trimming trailing zeros;
 * ``poly_divrem`` / ``poly_gcd`` return trimmed lists (empty list = zero).
 
+``poly_mul`` and ``series_mul`` are the only products in the library, under
+every backend: a Kronecker substitution that packs each coefficient list
+into one Python int, multiplies once and unpacks.  The schoolbook oracle
+they are tested against is ``fp_poly.mul_schoolbook``.
+
 Sequence truncations are not kernels: ``sequences.coefficients_mod_p`` steps
 the catalog recurrences for indices below p and sums digit-wise beyond.
 """
+import sys
+from array import array
 
 NAME = "pure"
 
+_SWAP = sys.byteorder != "little"  # array('Q') is native-endian
+
+
+def _pack(a, limbs):
+    """The int with a[i] in 64-bit limb i*limbs (little-endian slots)."""
+    if limbs == 1:
+        arr = array("Q", a)
+    else:
+        arr = array("Q", bytes(8 * limbs * len(a)))
+        arr[::limbs] = array("Q", a)
+    if _SWAP:
+        arr.byteswap()
+    return int.from_bytes(arr, "little")
+
+
+def _kronecker(a, b, p, count):
+    """The first count coefficients of a*b, count <= len(a)+len(b)-1.
+
+    A product coefficient is a sum of at most min(len(a), len(b)) terms below
+    (p-1)^2 < 2^62, so one 64-bit limb per slot holds it when that bound
+    fits and two limbs always do.
+    """
+    limbs = 1 if min(len(a), len(b)) * (p - 1) ** 2 < 1 << 64 else 2
+    prod = _pack(a, limbs) * _pack(b, limbs)
+    width = 8 * limbs
+    raw = prod.to_bytes(width * (len(a) + len(b) - 1), "little")
+    slots = array("Q")
+    slots.frombytes(memoryview(raw)[: width * count])
+    if _SWAP:
+        slots.byteswap()
+    if limbs == 1:
+        return [c % p for c in slots]
+    return [(lo | hi << 64) % p for lo, hi in zip(slots[::2], slots[1::2])]
+
 
 def poly_mul(a, b, p):
-    """Schoolbook product of coefficient lists; len(out) == len(a)+len(b)-1."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+    """Kronecker product of coefficient lists; len(out) == len(a)+len(b)-1."""
+    return _kronecker(a, b, p, len(a) + len(b) - 1)
 
 
 def _trim(a):
@@ -65,26 +102,11 @@ def poly_gcd(a, b, p):
 
 def series_mul(a, b, n, p):
     """Product truncated at order n; returns exactly n coefficients."""
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i]):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def series_inv(a, n, p):
-    """Multiplicative series inverse to order n; a[0] must be nonzero."""
-    out = [0] * n
-    inv0 = pow(a[0], p - 2, p)
-    out[0] = inv0
-    la = len(a)
-    for i in range(1, n):
-        s = 0
-        for k in range(1, min(i, la - 1) + 1):
-            s += a[k] * out[i - k]
-        out[i] = -s * inv0 % p
-    return out
+    a, b = a[:n], b[:n]
+    if not a or not b:
+        return [0] * n
+    count = min(n, len(a) + len(b) - 1)
+    return _kronecker(a, b, p, count) + [0] * (n - count)
 
 
 def twist_sum(cs, num, den, p):

@@ -39,6 +39,20 @@ class GaloisResult:
             return LABEL_FULL
         return LABEL_OTHER
 
+    @classmethod
+    def from_parts(cls, a: FpPoly, parts: list[tuple[FpPoly, int]]) -> "GaloisResult":
+        """The Kummer class order of a given its squarefree decomposition."""
+        p = a.p
+        if parts:
+            e_gcd = 0
+            for _, e in parts:
+                e_gcd = math.gcd(e_gcd, e)
+            g = math.gcd(p - 1, e_gcd)
+        else:
+            g = p - 1
+        m = math.gcd(g, (p - 1) // mult_order(a.lc(), p))
+        return cls(p=p, degree=(p - 1) // m, kummer_exponent=m)
+
     def describe(self) -> str:
         if self.label == LABEL_OTHER:
             return f"OTHER({self.degree})"
@@ -54,17 +68,7 @@ def galois_degree(a: FpPoly) -> GaloisResult:
     """
     if not a:
         raise ZeroDivisionError("Kummer class of the zero polynomial")
-    p = a.p
-    parts = a.squarefree_decomposition()
-    if parts:
-        e_gcd = 0
-        for _, e in parts:
-            e_gcd = math.gcd(e_gcd, e)
-        g = math.gcd(p - 1, e_gcd)
-    else:
-        g = p - 1
-    m = math.gcd(g, (p - 1) // mult_order(a.lc(), p))
-    return GaloisResult(p=p, degree=(p - 1) // m, kummer_exponent=m)
+    return GaloisResult.from_parts(a, a.squarefree_decomposition())
 
 
 def predicted_group(family: str, p: int) -> str:
@@ -281,6 +285,8 @@ class TruncationRecord:
         trunc = FpPoly(data["A"], p)
         fact = SquareCofactor(int(data["c"]), FpPoly(data["P"], p), FpPoly(data["B"], p))
         degree = int(data["degree"])
+        if degree <= 0 or (p - 1) % degree:
+            raise ValueError(f"degree {degree} is not a positive divisor of p-1={p - 1}")
         gal = GaloisResult(p=p, degree=degree, kummer_exponent=(p - 1) // degree)
         rec = cls(seq=data["seq"], p=p, trunc=trunc, factorization=fact, galois=gal)
         return _with_prediction(rec)
@@ -288,8 +294,9 @@ class TruncationRecord:
 
 def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     a_p = truncation_poly(seq, p)
-    fact = a_p.square_cofactor()
-    gal = galois_degree(a_p)
+    parts = a_p.squarefree_decomposition()  # shared by both results
+    fact = SquareCofactor.from_parts(a_p, parts)
+    gal = GaloisResult.from_parts(a_p, parts)
     rec = TruncationRecord(seq=seq.key, p=p, trunc=a_p, factorization=fact, galois=gal)
     return _with_prediction(rec)
 

@@ -1,7 +1,7 @@
 import pytest
 
-import aperylike.fp_poly as fpp
-from aperylike.fp_poly import FpPoly, gcd, mul_karatsuba, mul_schoolbook
+from aperylike import kernels
+from aperylike.fp_poly import FpPoly, gcd, mul_schoolbook
 from tests.conftest import random_poly, random_squarefree
 
 
@@ -86,7 +86,7 @@ class TestRing:
         assert f ** 3 == f * f * f
 
 
-class TestKaratsuba:
+class TestKronecker:
     def test_agreement_random(self, rng):
         cases = 0
         for _ in range(300):
@@ -95,7 +95,7 @@ class TestKaratsuba:
             lb = rng.randrange(1, 120)
             a = [rng.randrange(p) for _ in range(la)]
             b = [rng.randrange(p) for _ in range(lb)]
-            assert mul_karatsuba(a, b, p) == mul_schoolbook(a, b, p)
+            assert kernels.poly_mul(a, b, p) == mul_schoolbook(a, b, p)
             cases += 1
         assert cases == 300
 
@@ -104,14 +104,38 @@ class TestKaratsuba:
         for size in (513, 1200, 4097):
             a = [rng.randrange(p) for _ in range(size)]
             b = [rng.randrange(p) for _ in range(size)]
-            assert mul_karatsuba(a, b, p) == mul_schoolbook(a, b, p)
+            assert kernels.poly_mul(a, b, p) == mul_schoolbook(a, b, p)
 
-    def test_threshold_configurable(self, rng, monkeypatch):
-        monkeypatch.setattr(fpp, "KARATSUBA_THRESHOLD", 2)
-        p = 13
-        a = [rng.randrange(p) for _ in range(40)]
-        b = [rng.randrange(p) for _ in range(37)]
-        assert mul_karatsuba(a, b, p) == mul_schoolbook(a, b, p)
+    @pytest.mark.parametrize("la, lb", [(4, 4), (5, 5), (1, 4097), (4097, 2), (4097, 4097)])
+    def test_slot_width(self, la, lb):
+        # every coefficient p-1 at the largest prime: each product term is
+        # (p-1)^2 = 1 mod p, the largest value a slot must hold, so
+        # coefficient i counts the index pairs summing to i; 4x4 is the
+        # widest one-limb shape, 5x5 the narrowest two-limb one
+        p = 2 ** 31 - 1
+        out = kernels.poly_mul([p - 1] * la, [p - 1] * lb, p)
+        assert out == [(min(i, la - 1) - max(0, i - lb + 1) + 1) % p
+                       for i in range(la + lb - 1)]
+
+    def test_series_mul_truncates_and_pads(self, rng):
+        for p in (13, 2 ** 31 - 1):
+            a = [rng.randrange(p) for _ in range(30)]
+            b = [rng.randrange(p) for _ in range(17)]
+            full = mul_schoolbook(a, b, p)
+            for n in (1, 9, 29, 46, 47, 60):
+                want = full[:n] + [0] * (n - len(full))
+                assert kernels.series_mul(a, b, n, p) == want
+                assert kernels.series_mul(a, a, n, p) == (mul_schoolbook(a, a, p) + [0] * n)[:n]
+
+    def test_one_implementation(self):
+        assert kernels.poly_mul is kernels.pure.poly_mul
+        assert kernels.series_mul is kernels.pure.series_mul
+        for backend in kernels.get_backends().values():
+            assert not hasattr(backend, "series_inv")
+        compiled = kernels.get_backends().get("compiled")
+        if compiled is not None:
+            assert not hasattr(compiled, "poly_mul")
+            assert not hasattr(compiled, "series_mul")
 
 
 class TestSquarefree:

@@ -74,6 +74,24 @@ class TestGaloisDegree:
             b = random_poly(rng, p, 1, nonzero=True)
             assert galois_degree(a * b ** (p - 1)).degree == galois_degree(a).degree
 
+    @pytest.mark.parametrize("key", ["apery", "domb", "az", "a005260"])
+    def test_record_decomposes_once(self, key, monkeypatch):
+        calls = []
+        original = FpPoly.squarefree_decomposition
+
+        def counting(self):
+            calls.append(self.p)
+            return original(self)
+
+        for p in (5, 13, 31, 101):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(FpPoly, "squarefree_decomposition", counting)
+                rec = compute_record(CATALOG[key], p)
+            assert calls == [p]
+            assert rec.factorization == rec.trunc.square_cofactor()
+            assert rec.galois == galois_degree(rec.trunc)
+
     def test_degree_times_exponent(self):
         for p in primes_between(5, 60):
             res = galois_degree(compute_record(CATALOG["apery"], p).trunc)

@@ -148,6 +148,25 @@ class TestSweepCache:
         loaded = read_cache(cache, "apery")
         assert sorted(loaded) == primes_in_range(5, 30)
 
+    def test_impossible_degree_skipped(self, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        clean = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30)]
+        sweep(CATALOG["apery"], 5, 30, cache_path=cache)
+        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
+        for data in tampered:
+            if data["p"] == 7:
+                data["degree"] = 0
+            if data["p"] == 11:
+                data["degree"] = 3  # does not divide p-1 = 10
+        cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            loaded = read_cache(cache, "apery")
+        assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in (7, 11)]
+        assert caplog.text.count("skipping corrupt cache line") == 2
+        assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
+        # the two recomputed records were appended
+        assert len(cache.read_text().splitlines()) == len(tampered) + 2
+
     def test_cache_isolates_sequences(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 5, 30, cache_path=cache)
