@@ -3,11 +3,15 @@
 
 Products (``poly_mul``, ``series_mul``) have one implementation, the
 Kronecker substitution, under every backend, so they are timed once.  The
-kernels that still have a compiled variant -- ``poly_gcd`` and the
-fractional twist ``twist_sum`` -- are timed on every backend that is
-available and printed side by side; without the compiled extension only the
-pure column is shown.  Sequence truncations are not kernels (they come from
-the catalog recurrences) and are not timed here.
+pure division and gcd are timed against their quadratic oracles
+(``divrem_classic``, ``gcd_euclid``) on the inputs squarefree decomposition
+meets: gcd(A_p, A_p') and A_p // gcd for the Apery truncation A_p at
+p = 1987 and 4999 (degree about 2000 and 5000).  The kernels that still
+have a compiled variant -- ``poly_gcd`` and the fractional twist
+``twist_sum`` -- are timed on every backend that is available and printed
+side by side; without the compiled extension only the pure column is shown.
+Sequence truncations are not kernels (they come from the catalog
+recurrences) and are not timed here.
 
 Usage:
     python benchmarks/bench_kernels.py [--prime 499] [--repeat 3]
@@ -17,8 +21,12 @@ import random
 import time
 
 from aperylike import kernels
-from aperylike.kernels import get_backends
+from aperylike.kernels import get_backends, pure
 from aperylike.modular_relations import franel_truncation
+from aperylike.sequences import CATALOG, truncation_poly
+
+# A_p of degree about 2000 and 5000
+FAST_PATH_PRIMES = (1987, 4999)
 
 
 def timed(fn, repeat):
@@ -49,6 +57,20 @@ def product_workloads(p):
     ]
 
 
+def fast_path_workloads(p):
+    """(name, fast path, quadratic oracle) for the two steps of squarefree
+    decomposition that dominate at large p."""
+    a = list(truncation_poly(CATALOG["apery"], p).coeffs)
+    da = [i * c % p for i, c in enumerate(a)][1:]
+    g = pure.gcd_euclid(a, da, p)
+    return [
+        (f"gcd(A_{p}, A_{p}')", lambda: pure.poly_gcd(a, da, p),
+         lambda: pure.gcd_euclid(a, da, p)),
+        (f"A_{p} // gcd (deg {len(g) - 1})", lambda: pure.poly_divrem(a, g, p),
+         lambda: pure.divrem_classic(a, g, p)),
+    ]
+
+
 def backend_workloads(backend, p):
     n, a, b, _, _, _ = inputs(p)
     h = list(franel_truncation(p).coeffs)
@@ -71,6 +93,16 @@ def main():
     print("-" * len(header))
     for name, fn in product_workloads(p):
         print(f"{name:<{width}}{timed(fn, args.repeat) * 1e3:>10.2f}ms")
+    print()
+
+    header = f"{'pure division and gcd':<{width}}{'fast':>12}{'oracle':>12}{'speedup':>10}"
+    print(header)
+    print("-" * len(header))
+    for fp in FAST_PATH_PRIMES:
+        for name, fast, oracle in fast_path_workloads(fp):
+            t_fast, t_oracle = timed(fast, args.repeat), timed(oracle, args.repeat)
+            print(f"{name:<{width}}{t_fast * 1e3:>10.2f}ms{t_oracle * 1e3:>10.2f}ms"
+                  f"{t_oracle / t_fast:>9.1f}x")
     print()
 
     backends = get_backends()

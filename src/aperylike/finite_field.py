@@ -168,8 +168,8 @@ def legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else 1
+    # Euler's criterion; compared with 1, since -1 = p - 1 is also 1 mod 2
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -179,8 +179,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
     across runs and platforms.
     """
     a %= p
-    if a == 0:
-        return 0
+    if a == 0 or p == 2:
+        return a
     if legendre(a, p) != 1:
         return None
     if p % 4 == 3:

@@ -95,20 +95,12 @@ class FpSeries:
     def inv(self) -> "FpSeries":
         """Multiplicative inverse; needs a nonzero constant term.
 
-        Newton iteration g <- g * (2 - f g) doubling precision.
+        Newton iteration, ``kernels.series_inv``.
         """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        p = self.p
-        n = len(self.coeffs)
-        g = [inv_mod(self.coeffs[0], p)]
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            upd = [(-c) % p for c in kernels.series_mul(self.coeffs, g, prec, p)]
-            upd[0] = (upd[0] + 2) % p
-            g = kernels.series_mul(g, upd, prec, p)
-        return FpSeries(g, p, _trusted=True)
+        g = kernels.series_inv(self.coeffs, len(self.coeffs), self.p)
+        return FpSeries(g, self.p, _trusted=True)
 
     def pow_int(self, k: int) -> "FpSeries":
         if k < 0:

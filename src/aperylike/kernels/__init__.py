@@ -1,13 +1,16 @@
 """Kernel backend selection.
 
-The hot loops (polynomial products and remainders, series convolutions, the
-fractional twist) live behind a small function surface.  Products
-(``poly_mul``, ``series_mul``) have one implementation under every backend,
-the Kronecker substitution in ``pure``.  Division, gcd and the twist have
-two interchangeable implementations:
+The hot loops (polynomial products and remainders, series convolutions and
+inverses, the fractional twist) live behind a small function surface.
+Products (``poly_mul``, ``series_mul``) and the Newton series inverse
+(``series_inv``) have one implementation under every backend, in ``pure``.
+Division, gcd and the twist have two interchangeable implementations:
 
 * ``_ckernels`` -- a compiled Cython extension, used when available;
 * ``pure`` -- plain Python with identical semantics, always available.
+  Its ``poly_divrem`` and ``poly_gcd`` are subquadratic from degree
+  ``pure._CROSSOVER`` on (Newton division, half-gcd) and keep the quadratic
+  loops ``divrem_classic`` and ``gcd_euclid`` as base cases and oracles.
 
 Sequence truncations are not here: the catalog recurrences give indices
 below p in O(1) each, see ``sequences.coefficients_mod_p``.
@@ -39,6 +42,7 @@ BACKEND = _impl.NAME
 
 poly_mul = _pure.poly_mul
 series_mul = _pure.series_mul
+series_inv = _pure.series_inv
 poly_divrem = _impl.poly_divrem
 poly_gcd = _impl.poly_gcd
 twist_sum = _impl.twist_sum

@@ -14,7 +14,7 @@ from . import kernels
 from .errors import ReconstructionError
 from .families import FAMILIES, FamilySpec
 from .finite_field import inv_mod, legendre, mult_order
-from .fp_poly import FpPoly, SquareCofactor
+from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
 from .sequences import SequenceSpec, coefficients_mod_p, truncation_poly
 
@@ -281,9 +281,17 @@ class TruncationRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncationRecord":
+        """Rebuild a record from its cache form; raises ValueError unless P and
+        B are monic, c*P*B^2 == A, P is squarefree and degree divides p-1."""
         p = int(data["p"])
         trunc = FpPoly(data["A"], p)
         fact = SquareCofactor(int(data["c"]), FpPoly(data["P"], p), FpPoly(data["B"], p))
+        if fact.cofactor.lc() != 1 or fact.root.lc() != 1:
+            raise ValueError("P and B must be monic")
+        if fact.expand() != trunc:
+            raise ValueError("c*P*B^2 does not re-expand to A")
+        if gcd(fact.cofactor, fact.cofactor.derivative()).degree != 0:
+            raise ValueError("P is not squarefree")
         degree = int(data["degree"])
         if degree <= 0 or (p - 1) % degree:
             raise ValueError(f"degree {degree} is not a positive divisor of p-1={p - 1}")

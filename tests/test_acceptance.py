@@ -19,7 +19,6 @@ from aperylike import kernels
 from aperylike.finite_field import binomial_lucas
 from aperylike.fp_poly import FpPoly, gcd, mul_schoolbook
 from aperylike.fp_series import FpSeries
-from aperylike.kernels import BACKEND
 from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
                                      galois_degree, involution_analysis,
                                      verify_kummer_relation)
@@ -56,11 +55,10 @@ def test_c01_apery_galois_labels():
     bad = [p for p in PRIMES_499
            if recs[p].galois.label != ("S" if p % 24 in (1, 5, 7, 11) else "FULL")]
     elapsed = time.time() - t0
-    ok = not bad and (elapsed < 60 or BACKEND != "compiled")
+    ok = not bad and elapsed < 60
     announce(1, ok, f"apery Galois label vs mod-24 rule, 93 primes ({elapsed:.1f}s)")
     assert not bad, f"label mismatches at {bad}"
-    if BACKEND == "compiled":
-        assert elapsed < 60, f"sweep took {elapsed:.1f}s (target: under 60s)"
+    assert elapsed < 60, f"sweep took {elapsed:.1f}s (target: under 60s)"
 
 
 def test_c02_apery_cofactors():

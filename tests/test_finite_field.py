@@ -100,6 +100,16 @@ class TestSqrtMod:
                     assert r <= (p - 1) // 2 or a == 0
 
 
+@pytest.mark.parametrize("p", [2, 3] + primes_between(5, 113))
+def test_quadratic_character_brute_force(p):
+    # 2 and 3 are below the Prime range but reach legendre and sqrt_mod
+    # through FpPoly, e.g. is_perfect_square over F_2
+    for a in range(p):
+        roots = [r for r in range(p) if r * r % p == a]
+        assert legendre(a, p) == (0 if a == 0 else 1 if roots else -1)
+        assert sqrt_mod(a, p) == (min(roots) if roots else None)
+
+
 class TestMultOrder:
     def test_examples(self):
         assert mult_order(1, 7) == 1

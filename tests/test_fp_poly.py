@@ -2,6 +2,8 @@ import pytest
 
 from aperylike import kernels
 from aperylike.fp_poly import FpPoly, gcd, mul_schoolbook
+from aperylike.kernels import pure
+from aperylike.sequences import CATALOG, truncation_poly
 from tests.conftest import random_poly, random_squarefree
 
 
@@ -130,12 +132,63 @@ class TestKronecker:
     def test_one_implementation(self):
         assert kernels.poly_mul is kernels.pure.poly_mul
         assert kernels.series_mul is kernels.pure.series_mul
-        for backend in kernels.get_backends().values():
-            assert not hasattr(backend, "series_inv")
+        assert kernels.series_inv is kernels.pure.series_inv
         compiled = kernels.get_backends().get("compiled")
         if compiled is not None:
             assert not hasattr(compiled, "poly_mul")
             assert not hasattr(compiled, "series_mul")
+            assert not hasattr(compiled, "series_inv")
+
+
+class TestFastPaths:
+    """Newton division and the half-gcd against their quadratic oracles, on
+    shapes past the crossover and on the edge shapes."""
+
+    def test_apery_1987(self):
+        p = 1987
+        a = list(truncation_poly(CATALOG["apery"], p).coeffs)
+        da = [i * c % p for i, c in enumerate(a)][1:]
+        g = pure.gcd_euclid(a, da, p)
+        assert len(g) - 1 == 992 > pure._CROSSOVER
+        assert pure.poly_gcd(a, da, p) == g
+        assert pure.poly_divrem(a, g, p) == pure.divrem_classic(a, g, p)
+
+    def test_constant_divisor(self, rng):
+        p = 101
+        a = [rng.randrange(p) for _ in range(300)] + [7]
+        q, r = pure.poly_divrem(a, [5], p)
+        assert (q, r) == ([c * pow(5, p - 2, p) % p for c in a], [])
+
+    def test_long_quotient(self, rng):
+        p = 2 ** 31 - 1
+        b = [rng.randrange(p) for _ in range(pure._CROSSOVER)] + [3]
+        a = [rng.randrange(p) for _ in range(11 * len(b))] + [1]
+        q, r = pure.poly_divrem(a, b, p)
+        assert len(q) >= 10 * len(b)
+        assert (q, r) == pure.divrem_classic(a, b, p)
+
+    def test_divisor_longer_than_dividend(self, rng):
+        p = 13
+        a = [rng.randrange(p) for _ in range(100)] + [1, 0, 0]
+        b = [rng.randrange(p) for _ in range(300)] + [1]
+        assert pure.poly_divrem(a, b, p) == ([], a[:-2])
+
+    def test_half_gcd_degree_drop(self, rng):
+        # the remainder sequence of (a, b) drops from degree 160 straight to
+        # 99, one below half of deg a = 200: the half-gcd stops at (b, a mod b)
+        p = 101
+        b, d, q = ([rng.randrange(p) for _ in range(n)] + [1] for n in (160, 99, 40))
+        a = list((P(q, p) * P(b, p) + P(d, p)).coeffs)
+        assert pure._hgcd(a, b, p)[1:] == (b, d)
+        assert pure.poly_gcd(a, b, p) == pure.gcd_euclid(a, b, p)
+
+    def test_gcd_with_zero(self, rng):
+        p = 65521
+        a = [rng.randrange(p) for _ in range(4 * pure._CROSSOVER)] + [9]
+        monic = [c * pow(9, p - 2, p) % p for c in a]
+        for zero in ([], [0, 0, 0]):
+            assert pure.poly_gcd(a, zero, p) == monic
+            assert pure.poly_gcd(zero, a, p) == monic
 
 
 class TestSquarefree:
@@ -221,6 +274,13 @@ class TestPerfectSquare:
     def test_nonresidue_constant_blocks(self):
         # 4t^2 is a square (2t), 2t^2 is not mod 5
         assert P([0, 0, 4], 5).is_perfect_square() == P([0, 2], 5)
+
+    def test_f2(self):
+        # 1 is the only unit mod 2, and a square
+        f = P([1, 1], 2) ** 2
+        assert f == P([1, 0, 1], 2)
+        assert f.is_perfect_square() == P([1, 1], 2)
+        assert P([0, 1], 2).is_perfect_square() is None
 
     def test_random_squares(self, rng):
         for _ in range(200):

@@ -167,6 +167,32 @@ class TestSweepCache:
         # the two recomputed records were appended
         assert len(cache.read_text().splitlines()) == len(tampered) + 2
 
+    def test_tampered_factorization_skipped(self, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        clean = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30)]
+        sweep(CATALOG["apery"], 5, 30, cache_path=cache)
+        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
+        for data in tampered:
+            p = data["p"]
+            if p == 13:  # P = t^2 - 34t + 1, doubled
+                data["P"] = [2 * c % p for c in data["P"]]
+            if p == 17:  # B stays monic, c*P*B^2 no longer equals A
+                data["B"][0] = (data["B"][0] + 1) % p
+            if p == 29:  # a factor g of B moved into P as g^2: c*P*B^2 == A
+                root = FpPoly(data["B"], p)
+                g = root.squarefree_decomposition()[0][0]
+                data["P"] = list((FpPoly(data["P"], p) * g * g).coeffs)
+                data["B"] = list((root // g).coeffs)
+        cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            loaded = read_cache(cache, "apery")
+        assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in (13, 17, 29)]
+        assert caplog.text.count("skipping corrupt cache line") == 3
+        for reason in ("must be monic", "does not re-expand", "not squarefree"):
+            assert caplog.text.count(reason) == 1
+        assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
+        assert len(cache.read_text().splitlines()) == len(tampered) + 3
+
     def test_cache_isolates_sequences(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 5, 30, cache_path=cache)
