@@ -12,8 +12,8 @@ Division, gcd and the twist have two interchangeable implementations:
   ``pure._CROSSOVER`` on (Newton division, half-gcd) and keep the quadratic
   loops ``divrem_classic`` and ``gcd_euclid`` as base cases and oracles.
 
-Sequence truncations are not here: the catalog recurrences give indices
-below p in O(1) each, see ``sequences.coefficients_mod_p``.
+Sequence truncations are not here: the catalog recurrences give every
+index in one step each, see ``sequences.coefficients_mod_p``.
 
 Selection happens once at import.  Set ``APERYLIKE_KERNELS=pure`` or
 ``APERYLIKE_KERNELS=compiled`` to force a backend (the latter raises if the

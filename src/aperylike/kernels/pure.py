@@ -27,7 +27,7 @@ against.  Quotients, remainders and monic gcds are unique, so both paths
 return the same lists.
 
 Sequence truncations are not kernels: ``sequences.coefficients_mod_p`` steps
-the catalog recurrences for indices below p and sums digit-wise beyond.
+the catalog recurrences mod p^N for every index.
 """
 import sys
 from array import array

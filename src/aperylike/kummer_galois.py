@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import kernels
 from .errors import ReconstructionError
 from .families import FAMILIES, FamilySpec
-from .finite_field import inv_mod, legendre, mult_order
+from .finite_field import Prime, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
 from .sequences import SequenceSpec, coefficients_mod_p, truncation_poly
@@ -281,9 +281,10 @@ class TruncationRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncationRecord":
-        """Rebuild a record from its cache form; raises ValueError unless P and
-        B are monic, c*P*B^2 == A, P is squarefree and degree divides p-1."""
-        p = int(data["p"])
+        """Rebuild a record from its cache form; raises ValueError unless p is a
+        prime >= 5, P and B are monic, c*P*B^2 == A, P is squarefree and degree
+        divides p-1."""
+        p = Prime(data["p"]).value
         trunc = FpPoly(data["A"], p)
         fact = SquareCofactor(int(data["c"]), FpPoly(data["P"], p), FpPoly(data["B"], p))
         if fact.cofactor.lc() != 1 or fact.root.lc() != 1:

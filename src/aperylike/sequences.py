@@ -1,19 +1,23 @@
-"""The sequence catalog: exact big-integer evaluators, mod-p summands,
-three-term recurrences, and ingestion of external coefficient files.
+"""The sequence catalog: exact big-integer evaluators, three-term
+recurrences, and ingestion of external coefficient files.
 
-Each built-in sequence is written down twice, plus one row of integer data:
+Each built-in sequence is written down once, plus one row of integer data:
 
 * ``exact`` sums the defining formula with big-integer binomials and is the
   oracle;
-* ``mod`` sums the same formula in F_p with digit-wise (Lucas) binomials, so
-  indices at and beyond p stay cheap; it serves ``term_mod_p``, indices
-  n >= p of ``coefficients_mod_p`` and the generalized family;
 * the catalog row stores the recurrence (n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1},
-  which ``coefficients_mod_p`` steps mod p for indices n < p, one O(1) step
-  per coefficient.  The leading coefficient is a unit mod p exactly there.
+  which ``Recurrence.terms_mod_p`` steps modulo p^N, one step per
+  coefficient, and which serves every index of ``term_mod_p`` and
+  ``coefficients_mod_p``.  Below p, N = 1 and (n+1)^k is a unit mod p; each
+  multiple of p costs k digits of p-adic precision per factor p (see
+  ``Recurrence.terms_mod_p``).
 
-Indices n >= p never come from the recurrence or from the Lucas product
-a_(np+l) = a_n a_l: ``verify_lucas_property`` tests that product.
+The generalized family ``gen:r,s`` has no recurrence and is summed in F_p with
+digit-wise (Lucas) binomials.
+
+Indices n >= p come from the integer recurrence mod p^N, never from the Lucas
+product a_(np+l) = a_n a_l: ``verify_lucas_property`` and the Kummer check
+test that product.
 """
 from __future__ import annotations
 
@@ -98,115 +102,17 @@ def a005260_exact(n: int) -> int:
     return sum(math.comb(n, k) ** 4 for k in range(n + 1))
 
 
-# -- mod-p summands -------------------------------------------------------------
+# -- mod-p summand ---------------------------------------------------------------
 #
-# Each takes the per-prime digit-wise binomial ``binom = digit_binomial(p)`` as
-# an argument, so callers that evaluate many indices build it once.
-
-def _apery_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n + 1):
-        t = binom(n, k)
-        u = binom(n + k, n)
-        s += t * t % p * (u * u % p)
-    return s % p
-
-
-def _domb_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n + 1):
-        t = binom(n, k)
-        s += binom(2 * k, k) * binom(2 * n - 2 * k, n - k) % p * (t * t % p)
-    s %= p
-    return p - s if n % 2 and s else s
-
-
-def _az_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n // 3 + 1):
-        b = binom(n, 3 * k)
-        if not b:
-            continue
-        term = (binom(3 * k, k) * binom(2 * k, k) % p * pow(3, n - 3 * k, p) % p
-                * b % p * binom(n + k, n) % p)
-        s += p - term if (n - k) % 2 and term else term
-    return s % p
-
-
-def _franel_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n + 1):
-        t = binom(n, k)
-        s += t * t % p * t
-    return s % p
-
+# Only the generalized family, which has no recurrence, is summed in F_p.  The
+# summand takes the per-prime digit-wise binomial ``binom = digit_binomial(p)``
+# as an argument, so callers that evaluate many indices build it once.
 
 def _gen_mod(r: int, s: int, n: int, p: int, binom) -> int:
     acc = 0
     for k in range(n + 1):
         acc += pow(binom(n, k), r, p) * pow(binom(n + k, n), s, p)
     return acc % p
-
-
-def _a229111_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n // 5 + 1):
-        t = binom(n, k)
-        term = t * t % p * t % p * ((binom(4 * n - 5 * k - 1, 3 * n)
-                                     + binom(4 * n - 5 * k, 3 * n)) % p) % p
-        s += p - term if (n - k) % 2 and term else term
-    return s % p
-
-
-def _a290575_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range((n + 1) // 2, n + 1):
-        t = binom(n, k)
-        u = binom(2 * k, n)
-        s += t * t % p * (u * u % p)
-    return s % p
-
-
-def _a290576_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n + 1):
-        t = binom(n, k)
-        t2 = t * t % p
-        if not t2:
-            continue
-        for l in range(max(0, n - k), k + 1):
-            s += t2 * binom(n, l) % p * binom(k, l) % p * binom(k + l, n)
-        s %= p
-    return s % p
-
-
-def _a274786_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n + 1):
-        t = binom(n, k)
-        s += t * t % p * binom(n + k, k)
-    return s % p * binom(2 * n, n) % p
-
-
-def _a181418_mod(n: int, p: int, binom) -> int:
-    return _franel_mod(n, p, binom) * binom(2 * n, n) % p
-
-
-def _a183204_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range((n + 1) // 2, n + 1):
-        t = binom(n, k)
-        s += t * t % p * binom(2 * k, n) % p * binom(k + n, n)
-    return s % p
-
-
-def _a005260_mod(n: int, p: int, binom) -> int:
-    s = 0
-    for k in range(n + 1):
-        t = binom(n, k)
-        t2 = t * t % p
-        s += t2 * t2
-    return s % p
 
 
 # -- catalog -------------------------------------------------------------------
@@ -232,8 +138,23 @@ class Recurrence:
     c: tuple[int, ...]
 
     def terms_mod_p(self, count: int, p: int) -> list[int]:
-        """u_0, ..., u_(count-1) mod p for count <= p, where (n+1)^k is a unit."""
-        out = [1, self.u1 % p][:max(count, 0)]
+        """u_0, ..., u_(count-1) mod p, for any count.
+
+        The integer recurrence is stepped modulo q = p^N with
+        N = 1 + k v_p((count-1)!).  While n+1 is prime to p, (n+1)^k is a unit
+        mod q.  At n+1 = m p^e with m prime to p, the numerator is divisible
+        by p^(ke) because u_(n+1) is an integer; dividing it exactly leaves a
+        value known to k e fewer digits, which is then multiplied by the
+        inverse of m^k.  N covers every digit lost before index count, so the
+        values are exact mod p.  For count <= p, N = 1.
+        """
+        k = self.k
+        lost, m = 0, count - 1      # v_p((count-1)!), by Legendre's formula
+        while m >= p:
+            m //= p
+            lost += m
+        q = p ** (1 + k * lost)
+        out = [1, self.u1 % q][:max(count, 0)]
         b, c = self.b[::-1], self.c[::-1]
         for n in range(1, count - 1):
             bn = cn = 0
@@ -241,8 +162,16 @@ class Recurrence:
                 bn = bn * n + x
             for x in c:
                 cn = cn * n + x
-            out.append((bn * out[n] + cn * out[n - 1]) * pow(n + 1, -self.k, p) % p)
-        return out
+            num = bn * out[n] + cn * out[n - 1]
+            if (n + 1) % p:
+                out.append(num * pow(n + 1, -k, q) % q)
+                continue
+            m, e = n + 1, 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append(num % q // p ** (k * e) * pow(m, -k, q) % q)
+        return [u % p for u in out]
 
 
 @dataclass(frozen=True)
@@ -250,7 +179,7 @@ class SequenceSpec:
     key: str
     description: str
     exact: object = None          # callable n -> int
-    mod: object = None            # callable (n, p, digit_binomial(p)) -> int
+    mod: object = None            # gen:r,s only: callable (n, p, digit_binomial(p)) -> int
     recurrence: Recurrence | None = None
     gen_params: tuple[int, int] | None = None
     level: int | None = None
@@ -263,50 +192,50 @@ class SequenceSpec:
         return self.table is not None
 
 
-# (key, description, exact, mod, (k, u1, b, c) of the recurrence, level, OEIS);
-# every recurrence holds for all n <= 300 (a290576: n <= 204), see the tests.
+# (key, description, exact, (k, u1, b, c) of the recurrence, level, OEIS);
+# every recurrence holds for all n <= 400 (a290576: n <= 204), see the tests.
 _CATALOG_ROWS = [
-    ("apery", "sum_k C(n,k)^2 C(n+k,n)^2", apery_exact, _apery_mod,
+    ("apery", "sum_k C(n,k)^2 C(n+k,n)^2", apery_exact,
      # b = (2n+1)(17n^2+17n+5), c = -n^3
      (3, 5, (5, 27, 51, 34), (0, 0, 0, -1)), None, "A005259"),
     ("domb", "(-1)^n sum_k C(2k,k) C(2n-2k,n-k) C(n,k)^2 (alternating Domb)",
-     domb_exact, _domb_mod,
+     domb_exact,
      # b = -2(2n+1)(5n^2+5n+2), c = -64n^3
      (3, -4, (-4, -18, -30, -20), (0, 0, 0, -64)), None, "A002895 (signed)"),
-    ("az", "sum_k (-1)^(n-k) 3^(n-3k) (3k)!/k!^3 C(n,3k) C(n+k,n)", az_exact, _az_mod,
+    ("az", "sum_k (-1)^(n-k) 3^(n-3k) (3k)!/k!^3 C(n,3k) C(n+k,n)", az_exact,
      # b = -(2n+1)(7n^2+7n+3), c = -81n^3
      (3, -3, (-3, -13, -21, -14), (0, 0, 0, -81)), None, "A125143"),
-    ("franel", "sum_k C(n,k)^3", franel_exact, _franel_mod,
+    ("franel", "sum_k C(n,k)^3", franel_exact,
      # b = 7n^2+7n+2, c = 8n^2
      (2, 2, (2, 7, 7), (0, 0, 8)), None, "A000172"),
     ("a229111", "sum_k (-1)^(n-k) C(n,k)^3 (C(4n-5k-1,3n) + C(4n-5k,3n))",
-     a229111_exact, _a229111_mod,
+     a229111_exact,
      # b = -(2n+1)(11n^2+11n+5), c = -125n^3
      (3, -5, (-5, -21, -33, -22), (0, 0, 0, -125)), None, "A229111"),
-    ("a290575", "sum_k C(n,k)^2 C(2k,n)^2", a290575_exact, _a290575_mod,
+    ("a290575", "sum_k C(n,k)^2 C(2k,n)^2", a290575_exact,
      # b = 4(2n+1)(3n^2+3n+1), c = -16n^3
      (3, 4, (4, 20, 36, 24), (0, 0, 0, -16)), None, "A290575"),
-    ("a290576", "sum_{k,l} C(n,k)^2 C(n,l) C(k,l) C(k+l,n)", a290576_exact, _a290576_mod,
+    ("a290576", "sum_{k,l} C(n,k)^2 C(n,l) C(k,l) C(k+l,n)", a290576_exact,
      # b = 3(2n+1)(3n^2+3n+1), c = 27n^3
      (3, 3, (3, 15, 27, 18), (0, 0, 0, 27)), None, "A290576"),
-    ("a274786", "C(2n,n) sum_k C(n,k)^2 C(n+k,k)", a274786_exact, _a274786_mod,
+    ("a274786", "C(2n,n) sum_k C(n,k)^2 C(n+k,k)", a274786_exact,
      # b = 2(2n+1)(11n^2+11n+3), c = 4n(2n-1)(2n+1)
      (3, 6, (6, 34, 66, 44), (0, -4, 0, 16)), 5, "A274786"),
-    ("a181418", "C(2n,n) sum_k C(n,k)^3", a181418_exact, _a181418_mod,
+    ("a181418", "C(2n,n) sum_k C(n,k)^3", a181418_exact,
      # b = 2(2n+1)(7n^2+7n+2), c = 32n(2n-1)(2n+1)
      (3, 4, (4, 22, 42, 28), (0, -32, 0, 128)), 6, "A181418"),
-    ("a183204", "sum_k C(n,k)^2 C(2k,n) C(k+n,n)", a183204_exact, _a183204_mod,
+    ("a183204", "sum_k C(n,k)^2 C(2k,n) C(k+n,n)", a183204_exact,
      # b = (2n+1)(13n^2+13n+4), c = 3n(3n-1)(3n+1)
      (3, 4, (4, 21, 39, 26), (0, -3, 0, 27)), 7, "A183204"),
-    ("a005260", "sum_k C(n,k)^4", a005260_exact, _a005260_mod,
+    ("a005260", "sum_k C(n,k)^4", a005260_exact,
      # b = 2(2n+1)(3n^2+3n+1), c = 4n(4n-1)(4n+1)
      (3, 2, (2, 10, 18, 12), (0, -4, 0, 64)), 10, "A005260"),
 ]
 
 CATALOG: dict[str, SequenceSpec] = {
-    key: SequenceSpec(key=key, description=desc, exact=exact, mod=mod,
+    key: SequenceSpec(key=key, description=desc, exact=exact,
                       recurrence=Recurrence(*rec), level=level, oeis=oeis)
-    for key, desc, exact, mod, rec, level, oeis in _CATALOG_ROWS
+    for key, desc, exact, rec, level, oeis in _CATALOG_ROWS
 }
 
 
@@ -389,29 +318,36 @@ def term_exact(seq: SequenceSpec, n: int):
 
 
 def term_mod_p(seq: SequenceSpec, n: int, p: int) -> int:
-    """Value mod p via digit-wise binomials (no big integers for catalog entries)."""
+    """Value mod p, without the exact sum.
+
+    A catalog row steps its recurrence mod p^N up to n (O(n)); ``gen:r,s``
+    sums its formula with digit-wise binomials; an external table is reduced.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if seq.is_external:
         return term_exact(seq, n) % p
-    return seq.mod(n, p, digit_binomial(p))
+    if seq.recurrence is None:
+        return seq.mod(n, p, digit_binomial(p))
+    return seq.recurrence.terms_mod_p(n + 1, p)[n]
 
 
 def coefficients_mod_p(seq: SequenceSpec, count: int, p: int) -> list[int]:
     """First ``count`` coefficients mod p.
 
-    Indices below p come from the catalog recurrence; indices at and beyond
-    p, and every index of a sequence without one, from the digit-wise summand.
+    Every index of a catalog row, at and beyond p included, comes from its
+    recurrence stepped mod p^N (``Recurrence.terms_mod_p``), never from the
+    Lucas product; every index of ``gen:r,s`` from the digit-wise summand.
     """
     if seq.is_external:
         if count > len(seq.table.values):
             raise ValueError(
                 f"{seq.key} has {len(seq.table.values)} terms; need {count}")
         return [v % p for v in seq.table.values[:count]]
-    out = seq.recurrence.terms_mod_p(min(count, p), p) if seq.recurrence else []
-    binom = digit_binomial(p)
-    out.extend(seq.mod(n, p, binom) for n in range(len(out), count))
-    return out
+    if seq.recurrence is None:
+        binom = digit_binomial(p)
+        return [seq.mod(n, p, binom) for n in range(count)]
+    return seq.recurrence.terms_mod_p(count, p)
 
 
 def truncation_poly(seq: SequenceSpec, p: int) -> FpPoly:

@@ -1,13 +1,27 @@
+import functools
 import random
 
 import pytest
 
 from aperylike.finite_field import is_prime
 from aperylike.fp_poly import FpPoly
+from aperylike.sequences import CATALOG, term_exact
 
 
 def primes_between(lo, hi):
     return [n for n in range(max(lo, 5), hi + 1) if is_prime(n)]
+
+
+# a290576's exact double sum is O(n^2) per term; the other rows reach n = 400
+EXACT_LAST = {"a290576": 204}
+
+
+@functools.lru_cache(maxsize=None)
+def exact_terms(key):
+    """The exact values of a catalog row for n <= its oracle bound, computed
+    once per test session: the oracle for every mod-p evaluator."""
+    spec = CATALOG[key]
+    return tuple(term_exact(spec, n) for n in range(EXACT_LAST.get(key, 400) + 1))
 
 
 @pytest.fixture

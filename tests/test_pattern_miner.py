@@ -167,6 +167,25 @@ class TestSweepCache:
         # the two recomputed records were appended
         assert len(cache.read_text().splitlines()) == len(tampered) + 2
 
+    def test_invalid_prime_skipped(self, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        clean = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30)]
+        sweep(CATALOG["apery"], 5, 30, cache_path=cache)
+        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
+        bad_p = {7: 0, 11: 3, 13: 4}
+        for i, data in enumerate(tampered):
+            if data["p"] in bad_p:
+                # consistent under the bad modulus: A = c*P*B^2 = 1, degree 1
+                tampered[i] = dict(data, p=bad_p[data["p"]], A=[1], c=1, P=[1], B=[1],
+                                   degree=1)
+        cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            loaded = read_cache(cache, "apery")
+        assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in bad_p]
+        assert caplog.text.count("skipping corrupt cache line") == 3
+        assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
+        assert len(cache.read_text().splitlines()) == len(tampered) + 3
+
     def test_tampered_factorization_skipped(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
         clean = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30)]

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import pytest
@@ -9,7 +8,7 @@ from aperylike.sequences import (CATALOG, coefficients_mod_p, generalized,
                                  get_sequence, load_external, term_exact,
                                  term_mod_p, truncation_poly,
                                  verify_lucas_property)
-from tests.conftest import primes_between
+from tests.conftest import exact_terms, primes_between
 
 
 class TestExactValues:
@@ -84,14 +83,9 @@ def _poly(coeffs, n):
     return sum(c * n ** i for i, c in enumerate(coeffs))
 
 
-# a290576's exact double sum is O(n^2) per term; the rest reach n = 300
-EXACT_LAST = {"a290576": 204}
-
-
-@functools.lru_cache(maxsize=None)
-def _exact_terms(key):
-    spec = CATALOG[key]
-    return [term_exact(spec, n) for n in range(EXACT_LAST.get(key, 300) + 1)]
+# counts that cross every kind of multiple of p: v_p = 1 (3p), v_p = 2
+# (p^2 + 3) and v_p = 3 (130 > 5^3)
+CROSSINGS = [(p, 3 * p) for p in (5, 13, 101)] + [(p, p * p + 3) for p in (5, 7)] + [(5, 130)]
 
 
 class TestCatalogRecurrences:
@@ -101,7 +95,7 @@ class TestCatalogRecurrences:
     @pytest.mark.parametrize("key", sorted(CATALOG))
     def test_matches_exact(self, key):
         rec = CATALOG[key].recurrence
-        exact = _exact_terms(key)
+        exact = list(exact_terms(key))
         want = _by_recurrence(
             1, rec.u1,
             lambda n: _poly(rec.b, n),
@@ -111,13 +105,14 @@ class TestCatalogRecurrences:
 
     @pytest.mark.parametrize("key", sorted(CATALOG))
     def test_across_digit_boundary(self, key):
-        # count 2p+3 crosses the first base-p digit: recurrence below p,
-        # digit-wise summand from p on
+        # the recurrence is stepped mod p^N across each multiple of p; the
+        # exact oracle of a290576 stops at n = 204, after both multiples of 101
         spec = CATALOG[key]
-        exact = _exact_terms(key)
-        for p in (5, 13, 101):
-            count = 2 * p + 3
-            assert coefficients_mod_p(spec, count, p) == [e % p for e in exact[:count]]
+        exact = exact_terms(key)
+        for p, count in CROSSINGS:
+            got = coefficients_mod_p(spec, count, p)
+            assert len(got) == count
+            assert got[:len(exact)] == [e % p for e in exact[:count]], (p, count)
 
 
 class TestModP:
@@ -136,8 +131,9 @@ class TestModP:
     def test_bulk_matches_single(self):
         for key, spec in CATALOG.items():
             for p in (5, 13):
-                bulk = coefficients_mod_p(spec, 2 * p, p)
-                assert bulk == [term_mod_p(spec, n, p) for n in range(2 * p)], (key, p)
+                want = [e % p for e in exact_terms(key)[:2 * p]]
+                assert coefficients_mod_p(spec, 2 * p, p) == want, (key, p)
+                assert [term_mod_p(spec, n, p) for n in range(2 * p)] == want, (key, p)
 
 
 class TestTruncation:
