@@ -1,17 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the kernels behind the library's hot loops.
 
-Products (``poly_mul``, ``series_mul``) have one implementation, the
-Kronecker substitution, under every backend, so they are timed once.  The
-pure division and gcd are timed against their quadratic oracles
-(``divrem_classic``, ``gcd_euclid``) on the inputs squarefree decomposition
-meets: gcd(A_p, A_p') and A_p // gcd for the Apery truncation A_p at
-p = 1987 and 4999 (degree about 2000 and 5000).  The kernels that still
-have a compiled variant -- ``poly_gcd`` and the fractional twist
-``twist_sum`` -- are timed on every backend that is available and printed
-side by side; without the compiled extension only the pure column is shown.
-Sequence truncations are not kernels (they come from the catalog
-recurrences) and are not timed here.
+The products (``poly_mul``, ``series_mul``, both Kronecker substitutions)
+are timed at degree about p.  Division and gcd are timed against their
+quadratic oracles (``divrem_classic``, ``gcd_euclid``) on the inputs
+squarefree decomposition meets: gcd(A_p, A_p') and A_p // gcd for the Apery
+truncation A_p at p = 1987 and 4999 (degree about 2000 and 5000).  Sequence
+truncations are not kernels (they come from the catalog recurrences) and
+are not timed here.
 
 Usage:
     python benchmarks/bench_kernels.py [--prime 499] [--repeat 3]
@@ -21,8 +17,6 @@ import random
 import time
 
 from aperylike import kernels
-from aperylike.kernels import get_backends, pure
-from aperylike.modular_relations import franel_truncation
 from aperylike.sequences import CATALOG, truncation_poly
 
 # A_p of degree about 2000 and 5000
@@ -62,21 +56,12 @@ def fast_path_workloads(p):
     decomposition that dominate at large p."""
     a = list(truncation_poly(CATALOG["apery"], p).coeffs)
     da = [i * c % p for i, c in enumerate(a)][1:]
-    g = pure.gcd_euclid(a, da, p)
+    g = kernels.gcd_euclid(a, da, p)
     return [
-        (f"gcd(A_{p}, A_{p}')", lambda: pure.poly_gcd(a, da, p),
-         lambda: pure.gcd_euclid(a, da, p)),
-        (f"A_{p} // gcd (deg {len(g) - 1})", lambda: pure.poly_divrem(a, g, p),
-         lambda: pure.divrem_classic(a, g, p)),
-    ]
-
-
-def backend_workloads(backend, p):
-    n, a, b, _, _, _ = inputs(p)
-    h = list(franel_truncation(p).coeffs)
-    return [
-        (f"poly_gcd(deg {n})", lambda: backend.poly_gcd(a, b, p)),
-        ("twist_sum(H, deg-1 maps)", lambda: backend.twist_sum(h, [1, p - 8], [8, 8], p)),
+        (f"gcd(A_{p}, A_{p}')", lambda: kernels.poly_gcd(a, da, p),
+         lambda: kernels.gcd_euclid(a, da, p)),
+        (f"A_{p} // gcd (deg {len(g) - 1})", lambda: kernels.poly_divrem(a, g, p),
+         lambda: kernels.divrem_classic(a, g, p)),
     ]
 
 
@@ -88,14 +73,14 @@ def main():
     p = args.prime
 
     width = 26
-    header = f"{'product (every backend)':<{width}}{'time':>12}"
+    header = f"{'product':<{width}}{'time':>12}"
     print(header)
     print("-" * len(header))
     for name, fn in product_workloads(p):
         print(f"{name:<{width}}{timed(fn, args.repeat) * 1e3:>10.2f}ms")
     print()
 
-    header = f"{'pure division and gcd':<{width}}{'fast':>12}{'oracle':>12}{'speedup':>10}"
+    header = f"{'division and gcd':<{width}}{'fast':>12}{'oracle':>12}{'speedup':>10}"
     print(header)
     print("-" * len(header))
     for fp in FAST_PATH_PRIMES:
@@ -103,27 +88,6 @@ def main():
             t_fast, t_oracle = timed(fast, args.repeat), timed(oracle, args.repeat)
             print(f"{name:<{width}}{t_fast * 1e3:>10.2f}ms{t_oracle * 1e3:>10.2f}ms"
                   f"{t_oracle / t_fast:>9.1f}x")
-    print()
-
-    backends = get_backends()
-    if len(backends) < 2:
-        print("note: compiled backend not built; timing pure backend only")
-    names = [name for name, _ in backend_workloads(backends["pure"], p)]
-    columns = {key: [timed(fn, args.repeat) for _, fn in backend_workloads(backend, p)]
-               for key, backend in backends.items()}
-
-    header = f"{'workload':<{width}}" + "".join(f"{key:>12}" for key in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
-    print("-" * len(header))
-    for i, name in enumerate(names):
-        row = f"{name:<{width}}"
-        for key in backends:
-            row += f"{columns[key][i] * 1e3:>10.2f}ms"
-        if len(backends) == 2:
-            row += f"{columns['pure'][i] / columns['compiled'][i]:>9.1f}x"
-        print(row)
 
 
 if __name__ == "__main__":

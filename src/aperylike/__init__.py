@@ -7,7 +7,6 @@ algebraic identities linking each family to the Franel square, and mines
 quadratic-residue / congruence classifiers of the cofactors P across prime
 ranges.
 """
-from . import kernels
 from .errors import (BFileError, IdentityViolationError, ReconstructionError,
                      UnsupportedPrimeError)
 from .families import FAMILIES, FamilySpec
@@ -28,4 +27,7 @@ from .sequences import (CATALOG, CoefficientTable, LucasReport, SequenceSpec,
 
 __version__ = "0.1.0"
 
-KERNEL_BACKEND = kernels.BACKEND
+# There is one kernel implementation, so the backend name is fixed.  It stays
+# because the `--timestamp` header prints it and perfbench records it in every
+# result set, refusing to compare sets whose backends differ.
+KERNEL_BACKEND = "pure"

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from . import kernels, kummer_galois, modular_relations, pattern_miner, sequences
+from . import KERNEL_BACKEND, kummer_galois, modular_relations, pattern_miner, sequences
 from .errors import IdentityViolationError, UnsupportedPrimeError
 from .finite_field import Prime
 from .pattern_miner import primes_in_range
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.timestamp:
         _emit(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}, "
-              f"kernel backend: {kernels.BACKEND}")
+              f"kernel backend: {KERNEL_BACKEND}")
     handlers = {
         "catalog": _cmd_catalog,
         "truncate": _cmd_truncate,

@@ -124,3 +124,10 @@ FAMILIES: dict[str, FamilySpec] = {
         u_num=8, u_den=1, fixing_sign=-1,
     ),
 }
+
+
+def get_family(family: str) -> FamilySpec:
+    """The FamilySpec of a family key; raises ValueError on an unknown key."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r} (expected one of {sorted(FAMILIES)})")
+    return FAMILIES[family]

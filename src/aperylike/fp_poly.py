@@ -4,11 +4,10 @@ Coefficients are stored ascending (index = exponent) with no trailing
 zeros; the zero polynomial has an empty coefficient tuple and degree -inf.
 Every product is the Kronecker substitution ``kernels.poly_mul``;
 ``mul_schoolbook`` is the independent quadratic oracle it is tested against.
-Division and gcd are ``kernels.poly_divrem`` and ``kernels.poly_gcd``: on the
-pure backend, Newton division and a half-gcd from degree
-``kernels.pure._CROSSOVER`` on, with the quadratic loops
-``kernels.pure.divrem_classic`` and ``kernels.pure.gcd_euclid`` as base cases
-and oracles.
+Division and gcd are ``kernels.poly_divrem`` and ``kernels.poly_gcd``:
+Newton division and a half-gcd from degree ``kernels._CROSSOVER`` on, with
+the quadratic loops ``kernels.divrem_classic`` and ``kernels.gcd_euclid`` as
+base cases and oracles.
 """
 from __future__ import annotations
 

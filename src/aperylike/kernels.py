@@ -1,8 +1,7 @@
-"""Pure-Python kernel backend.
+"""The hot loops: polynomial products and remainders, series products and
+inverses, and the fractional twist.
 
-Reference implementation of the hot loops; the contracts below are shared
-with the compiled backend, which implements only ``poly_divrem``,
-``poly_gcd`` and ``twist_sum``:
+Contracts:
 
 * polynomial coefficient lists are ascending (index = exponent) with entries
   already reduced into [0, p), p < 2^31; the products also take tuples;
@@ -10,12 +9,11 @@ with the compiled backend, which implements only ``poly_divrem``,
   trimming trailing zeros;
 * ``poly_divrem`` / ``poly_gcd`` return trimmed lists (empty list = zero).
 
-``poly_mul`` and ``series_mul`` are the only products in the library, under
-every backend: a Kronecker substitution that packs each coefficient list
-into one Python int, multiplies once and unpacks.  The schoolbook oracle
-they are tested against is ``fp_poly.mul_schoolbook``.  ``series_inv``, the
-one Newton series inverse, is built on them and is also bound under every
-backend.
+``poly_mul`` and ``series_mul`` are the only products in the library: a
+Kronecker substitution that packs each coefficient list into one Python int,
+multiplies once and unpacks.  The schoolbook oracle they are tested against
+is ``fp_poly.mul_schoolbook``.  ``series_inv``, the one Newton series
+inverse, is built on them.
 
 Division and gcd are subquadratic from degree ``_CROSSOVER`` on:
 ``poly_divrem`` multiplies the reversed dividend by the Newton inverse of the
@@ -31,8 +29,6 @@ the catalog recurrences mod p^N for every index.
 """
 import sys
 from array import array
-
-NAME = "pure"
 
 _SWAP = sys.byteorder != "little"  # array('Q') is native-endian
 

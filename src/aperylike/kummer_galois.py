@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import ReconstructionError
-from .families import FAMILIES, FamilySpec
+from .families import FAMILIES, get_family
 from .finite_field import Prime, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
@@ -73,7 +73,7 @@ def galois_degree(a: FpPoly) -> GaloisResult:
 
 def predicted_group(family: str, p: int) -> str:
     """Congruence-class prediction of the Galois label for a built-in family."""
-    spec = _family(family)
+    spec = get_family(family)
     return LABEL_S if spec.predicts_square(p) else LABEL_FULL
 
 
@@ -87,7 +87,7 @@ def predicted_cofactor(family: str, p: int) -> FpPoly:
     64t^2-20t+1; acceptance criterion 3 (test_c03_domb_reproduction)
     checks that constant on the unsigned truncation.
     """
-    spec = _family(family)
+    spec = get_family(family)
     if spec.predicts_square(p):
         return FpPoly.one(p)
     return spec.cofactor_poly(p).monic()
@@ -113,7 +113,7 @@ class InvolutionReport:
 
 
 def involution_analysis(family: str, p: int) -> InvolutionReport:
-    spec = _family(family)
+    spec = get_family(family)
     need_square = spec.u_required_square(p)
     u0 = spec.u_num * inv_mod(spec.u_den, p) % p
     admissible = tuple(
@@ -282,11 +282,15 @@ class TruncationRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncationRecord":
         """Rebuild a record from its cache form; raises ValueError unless p is a
-        prime >= 5, P and B are monic, c*P*B^2 == A, P is squarefree and degree
-        divides p-1."""
+        prime >= 5, 1 <= c < p, P and B are monic, c*P*B^2 == A, P is
+        squarefree and degree divides p-1.  Together the checks on c, P, B and
+        the re-expansion make A nonzero with leading coefficient c."""
         p = Prime(data["p"]).value
+        c = int(data["c"])
+        if not 1 <= c < p:
+            raise ValueError(f"c = {c} is not in 1..{p - 1}")
         trunc = FpPoly(data["A"], p)
-        fact = SquareCofactor(int(data["c"]), FpPoly(data["P"], p), FpPoly(data["B"], p))
+        fact = SquareCofactor(c, FpPoly(data["P"], p), FpPoly(data["B"], p))
         if fact.cofactor.lc() != 1 or fact.root.lc() != 1:
             raise ValueError("P and B must be monic")
         if fact.expand() != trunc:
@@ -319,9 +323,3 @@ def _with_prediction(rec: TruncationRecord) -> TruncationRecord:
         predicted_label=predicted_group(rec.seq, rec.p),
         predicted_cofactor=predicted_cofactor(rec.seq, rec.p),
     )
-
-
-def _family(family: str) -> FamilySpec:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} (expected one of {sorted(FAMILIES)})")
-    return FAMILIES[family]

@@ -11,18 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernels
 from .errors import IdentityViolationError
-from .families import FAMILIES, FamilySpec
+from .families import get_family
 from .fp_poly import FpPoly
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
 from .sequences import CATALOG, coefficients_mod_p, truncation_poly
-
-
-def _family(family: str) -> FamilySpec:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} (expected one of {sorted(FAMILIES)})")
-    return FAMILIES[family]
 
 
 def franel_truncation(p: int) -> FpPoly:
@@ -51,12 +44,9 @@ def verify_sigma_twist(family: str, p: int) -> int:
     The twist is computed in cleared form sum_n c_n num^n den^(p-1-n); the
     residual constant (den lead)^(p-1) is 1 by Fermat and drops out.
     """
-    spec = _family(family)
+    spec = get_family(family)
     h = franel_truncation(p)
-    twisted = FpPoly(
-        kernels.twist_sum(list(h.coeffs), [c % p for c in spec.sigma_num],
-                          [c % p for c in spec.sigma_den], p),
-        p)
+    twisted = h.substitute_rational(spec.sigma_num_poly(p), spec.sigma_den_poly(p))
     if twisted == h:
         sign = 1
     elif twisted == -h:
@@ -135,7 +125,7 @@ def verify_substitution(family: str, p: int, precision: int = 60) -> Substitutio
     one is reported; the alternating catalog convention validates +.
     Raises IdentityViolationError when no sign works.
     """
-    spec = _family(family)
+    spec = get_family(family)
     n = precision
     f = FpSeries(coefficients_mod_p(CATALOG[family], n, p), p, _trusted=True)
     h = franel_series(p, n)
@@ -172,7 +162,7 @@ def verify_quadratic(family: str, p: int) -> QuadraticCheck:
 
     All identities are denominator-cleared polynomial identities in x.
     """
-    spec = _family(family)
+    spec = get_family(family)
     qa, qb, qc = spec.quad_polys(p)
     tn, td = spec.t_num_poly(p), spec.t_den_poly(p)
     d = max(int(q.degree) for q in (qa, qb, qc) if q)
@@ -204,33 +194,32 @@ def verify_quadratic(family: str, p: int) -> QuadraticCheck:
                           discriminant=disc)
 
 
-def verify_sigma_involution(family: str, p: int) -> bool:
-    """sigma(sigma(x)) = x as a cleared polynomial identity."""
-    spec = _family(family)
-    sn, sd = spec.sigma_num_poly(p), spec.sigma_den_poly(p)
-    n2 = sn.substitute_rational(sn, sd)
-    d2 = sd.substitute_rational(sn, sd)
-    # align clearing when deg sn != deg sd
-    dn, dd = int(sn.degree), int(sd.degree)
+def _compose_sigma(num: FpPoly, den: FpPoly, sn: FpPoly, sd: FpPoly) -> tuple[FpPoly, FpPoly]:
+    """(num/den)(sn/sd) as a fraction n2/d2 of polynomials in x, both parts
+    cleared by the same power of sd."""
+    n2 = num.substitute_rational(sn, sd)
+    d2 = den.substitute_rational(sn, sd)
+    dn, dd = int(num.degree), int(den.degree)
     if dn < dd:
         n2 = n2 * sd ** (dd - dn)
     elif dd < dn:
         d2 = d2 * sd ** (dn - dd)
+    return n2, d2
+
+
+def verify_sigma_involution(family: str, p: int) -> bool:
+    """sigma(sigma(x)) = x as a cleared polynomial identity."""
+    spec = get_family(family)
+    sn, sd = spec.sigma_num_poly(p), spec.sigma_den_poly(p)
+    n2, d2 = _compose_sigma(sn, sd, sn, sd)
     x = FpPoly((0, 1), p)
     return n2 == x * d2
 
 
 def verify_t_fixed_by_sigma(family: str, p: int) -> bool:
     """t(sigma(x)) = t(x) as a cleared polynomial identity."""
-    spec = _family(family)
+    spec = get_family(family)
     tn, td = spec.t_num_poly(p), spec.t_den_poly(p)
-    sn, sd = spec.sigma_num_poly(p), spec.sigma_den_poly(p)
-    dn, dd = int(tn.degree), int(td.degree)
-    n2 = tn.substitute_rational(sn, sd)
-    d2 = td.substitute_rational(sn, sd)
-    if dn < dd:
-        n2 = n2 * sd ** (dd - dn)
-    elif dd < dn:
-        d2 = d2 * sd ** (dn - dd)
+    n2, d2 = _compose_sigma(tn, td, spec.sigma_num_poly(p), spec.sigma_den_poly(p))
     # t(sigma) = n2/d2; equality with tn/td as rational functions
     return n2 * td == d2 * tn

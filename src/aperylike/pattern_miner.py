@@ -276,11 +276,11 @@ def _square_free_divisors(level: int) -> list[int]:
     return [d for d in range(2, sf + 1) if sf % d == 0]
 
 
-def _candidate_singles(level: int | None, discs) -> list[int]:
+def _candidate_singles(level: int | None) -> list[int]:
     out: list[int] = []
     if level:
         out.extend(-d for d in _square_free_divisors(level))
-    for d in sorted(discs, key=lambda d: (abs(d), d > 0)):
+    for d in sorted(DEFAULT_DISCRIMINANTS, key=lambda d: (abs(d), d > 0)):
         if d not in out:
             out.append(d)
     return out
@@ -331,8 +331,6 @@ def infer_conditions(
     lo: int,
     hi: int,
     level: int | None = None,
-    candidate_discriminants=DEFAULT_DISCRIMINANTS,
-    candidate_moduli=DEFAULT_MODULI,
 ) -> PatternReport:
     """Search the classifier language for an exact partition of the sweep.
 
@@ -348,7 +346,7 @@ def infer_conditions(
         return PatternReport(seq_key, lo, hi, good, (entry,),
                              unmatched=tuple(unmatched))
 
-    singles = _candidate_singles(level, candidate_discriminants)
+    singles = _candidate_singles(level)
     trials: list[list] = []
     if len(clusters) <= 2:
         for d in singles:
@@ -360,7 +358,7 @@ def infer_conditions(
                     LegendreProfile(((d1, e1), (d2, e2)))
                     for e1 in (1, -1) for e2 in (1, -1)
                 ])
-    for m in sorted(set(candidate_moduli)):
+    for m in DEFAULT_MODULI:
         residues: dict[int, set[int]] = {}
         ok = True
         for cl in clusters:
@@ -414,6 +412,8 @@ def read_cache(path, seq_key: str) -> dict[int, TruncationRecord]:
                 continue
             try:
                 data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ValueError("not a JSON object")
                 if data.get("seq") != seq_key:
                     continue
                 rec = TruncationRecord.from_json_dict(data)
@@ -495,14 +495,10 @@ def mine(
     hi: int,
     cache_path=None,
     threads: int = 1,
-    candidate_discriminants=DEFAULT_DISCRIMINANTS,
-    candidate_moduli=DEFAULT_MODULI,
 ) -> PatternReport:
     records = sweep(seq, lo, hi, cache_path=cache_path, threads=threads)
     clusters, unmatched = cluster_records(records)
-    return infer_conditions(seq.key, clusters, unmatched, lo, hi, level=seq.level,
-                            candidate_discriminants=candidate_discriminants,
-                            candidate_moduli=candidate_moduli)
+    return infer_conditions(seq.key, clusters, unmatched, lo, hi, level=seq.level)
 
 
 # -- rendering --------------------------------------------------------------------

@@ -145,6 +145,8 @@ class TestSweepCache:
         with open(cache, "a") as fh:
             fh.write("{ not json }\n")
             fh.write(json.dumps({"seq": "apery", "p": 999}) + "\n")
+            for value in ([1, 2], None, 3, "apery"):  # valid JSON, not an object
+                fh.write(json.dumps(value) + "\n")
         loaded = read_cache(cache, "apery")
         assert sorted(loaded) == primes_in_range(5, 30)
 
@@ -202,15 +204,21 @@ class TestSweepCache:
                 g = root.squarefree_decomposition()[0][0]
                 data["P"] = list((FpPoly(data["P"], p) * g * g).coeffs)
                 data["B"] = list((root // g).coeffs)
+            if p == 19:  # the zero truncation: c*P*B^2 == A == 0
+                data.update(A=[], c=0, P=[1], B=[1])
+            if p == 23:  # c not reduced mod p: c*P*B^2 == A mod p
+                data["c"] += p
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
             loaded = read_cache(cache, "apery")
-        assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in (13, 17, 29)]
-        assert caplog.text.count("skipping corrupt cache line") == 3
+        bad = (13, 17, 19, 23, 29)
+        assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in bad]
+        assert caplog.text.count("skipping corrupt cache line") == 5
         for reason in ("must be monic", "does not re-expand", "not squarefree"):
             assert caplog.text.count(reason) == 1
+        assert caplog.text.count("is not in 1..") == 2
         assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
-        assert len(cache.read_text().splitlines()) == len(tampered) + 3
+        assert len(cache.read_text().splitlines()) == len(tampered) + 5
 
     def test_cache_isolates_sequences(self, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from aperylike import kernels  # noqa: E402
 from aperylike.finite_field import is_prime  # noqa: E402
 from aperylike.fp_poly import FpPoly, mul_schoolbook  # noqa: E402
-from aperylike.kernels import pure  # noqa: E402
 from aperylike.sequences import CATALOG, coefficients_mod_p, term_mod_p  # noqa: E402
 from tests.conftest import EXACT_LAST, exact_terms  # noqa: E402
 
@@ -48,7 +47,7 @@ def test_kronecker_matches_schoolbook(p, la, lb, rnd):
 # lengths from 1 to five times the crossover, drawn uniformly by a seeded
 # generator (hypothesis favours small integers), so most cases take the fast
 # paths
-MAX_LEN = 5 * pure._CROSSOVER
+MAX_LEN = 5 * kernels._CROSSOVER
 
 
 def _poly(rnd, p, n):
@@ -68,10 +67,10 @@ def test_half_gcd_matches_euclid(p, seed):
     g = _poly(rnd, p, lg)
     a = kernels.poly_mul(_poly(rnd, p, lu), g, p)
     b = kernels.poly_mul(_poly(rnd, p, lv), g, p)
-    want = pure.gcd_euclid(a, b, p)
+    want = kernels.gcd_euclid(a, b, p)
     assert len(want) >= lg
-    assert pure.poly_gcd(a, b, p) == want
-    assert pure.poly_gcd(b, a, p) == want
+    assert kernels.poly_gcd(a, b, p) == want
+    assert kernels.poly_gcd(b, a, p) == want
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -82,7 +81,7 @@ def test_newton_division_matches_classic(p, seed):
     lq, lb = rnd.randint(1, MAX_LEN), rnd.randint(1, MAX_LEN)
     # the quotient has lq coefficients
     a, b = _poly(rnd, p, lq + lb - 1), _poly(rnd, p, lb)
-    assert pure.poly_divrem(a, b, p) == pure.divrem_classic(a, b, p)
+    assert kernels.poly_divrem(a, b, p) == kernels.divrem_classic(a, b, p)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -94,11 +93,11 @@ def test_half_gcd_step_is_euclid(p, seed):
     rnd = random.Random(seed)
     la = rnd.randint(2, MAX_LEN)
     a, b = _poly(rnd, p, la), _poly(rnd, p, rnd.randint(1, la - 1))
-    m, c, d = pure._hgcd(a, b, p)
+    m, c, d = kernels._hgcd(a, b, p)
     h = len(a) // 2
     rems = [a, b]
     while rems[-1] and len(rems[-1]) > h:
-        rems.append(pure.divrem_classic(rems[-2], rems[-1], p)[1])
+        rems.append(kernels.divrem_classic(rems[-2], rems[-1], p)[1])
     assert [c, d] == rems[-2:]
 
     def apply(u, v):
