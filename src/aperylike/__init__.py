@@ -10,9 +10,8 @@ ranges.
 from .errors import (BFileError, IdentityViolationError, ReconstructionError,
                      UnsupportedPrimeError)
 from .families import FAMILIES, FamilySpec
-from .finite_field import (FpElem, Prime, binomial_lucas, factorial_tables,
-                           inv_mod, is_prime, legendre, mult_order,
-                           multinomial_lucas, pow_mod, sqrt_mod)
+from .finite_field import (Prime, binomial_lucas, factorial_tables, inv_mod,
+                           is_prime, legendre, mult_order, sqrt_mod)
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
 from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,

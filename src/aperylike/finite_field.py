@@ -12,7 +12,8 @@ from .errors import UnsupportedPrimeError
 
 MAX_PRIME = 2 ** 31
 
-# deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
+# deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24;
+# is_prime also trial-divides by it first
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -20,7 +21,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit inputs."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -77,83 +78,6 @@ class Prime:
 
     def __repr__(self):
         return f"Prime({self.value})"
-
-    def elem(self, residue: int) -> "FpElem":
-        return FpElem(residue, self.value)
-
-
-class FpElem:
-    """An element of F_p with operator arithmetic.
-
-    Convenience wrapper for API-level use; bulk computations work on plain
-    ints.  Mixed-modulus operations raise ValueError.
-    """
-
-    __slots__ = ("residue", "p")
-
-    def __init__(self, residue: int, p: int | Prime):
-        self.p = int(p)
-        self.residue = int(residue) % self.p
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other.residue
-        return int(other) % self.p
-
-    def __add__(self, other):
-        return FpElem(self.residue + self._coerce(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FpElem(self.residue - self._coerce(other), self.p)
-
-    def __rsub__(self, other):
-        return FpElem(self._coerce(other) - self.residue, self.p)
-
-    def __mul__(self, other):
-        return FpElem(self.residue * self._coerce(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * FpElem(self._coerce(other), self.p).inv()
-
-    def __neg__(self):
-        return FpElem(-self.residue, self.p)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        return FpElem(pow(self.residue, k, self.p), self.p)
-
-    def inv(self) -> "FpElem":
-        return FpElem(inv_mod(self.residue, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
-
-    def __int__(self):
-        return self.residue
-
-    def __repr__(self):
-        return f"FpElem({self.residue} mod {self.p})"
-
-
-def pow_mod(a: int, k: int, p: int) -> int:
-    """a^k mod p for k >= 0, with the empty-product convention 0^0 = 1."""
-    if k < 0:
-        raise ValueError("negative exponent; use inv_mod first")
-    return pow(a % p, k, p)
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -282,8 +206,3 @@ def digit_binomial(p: int):
 def binomial_lucas(m: int, k: int, p: int) -> int:
     """C(m, k) mod p by the digit-product rule; 0 outside 0 <= k <= m."""
     return digit_binomial(p)(m, k)
-
-
-def multinomial_lucas(k: int, p: int) -> int:
-    """(3k)! / k!^3 mod p, computed as C(3k, k) * C(2k, k)."""
-    return binomial_lucas(3 * k, k, p) * binomial_lucas(2 * k, k, p) % p

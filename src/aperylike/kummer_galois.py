@@ -257,8 +257,16 @@ class TruncationRecord:
     trunc: FpPoly
     factorization: SquareCofactor
     galois: GaloisResult
-    predicted_label: str | None = None
-    predicted_cofactor: FpPoly | None = None
+
+    @property
+    def predicted_label(self) -> str | None:
+        """The family's predicted Galois label, or None off the catalog families."""
+        return predicted_group(self.seq, self.p) if self.seq in FAMILIES else None
+
+    @property
+    def predicted_cofactor(self) -> FpPoly | None:
+        """The family's predicted monic cofactor, or None off the catalog families."""
+        return predicted_cofactor(self.seq, self.p) if self.seq in FAMILIES else None
 
     @property
     def matches_prediction(self) -> bool | None:
@@ -281,12 +289,20 @@ class TruncationRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncationRecord":
-        """Rebuild a record from its cache form; raises ValueError unless p is a
-        prime >= 5, 1 <= c < p, P and B are monic, c*P*B^2 == A, P is
-        squarefree and degree divides p-1.  Together the checks on c, P, B and
-        the re-expansion make A nonzero with leading coefficient c."""
+        """Rebuild a record from its cache form; raises ValueError unless p, c,
+        degree and every coefficient of A, P and B are ints (not floats,
+        strings or bools), p is a prime >= 5, 1 <= c < p, P and B are monic,
+        c*P*B^2 == A, P is squarefree and degree divides p-1.  Together the
+        checks on c, P, B and the re-expansion make A nonzero with leading
+        coefficient c."""
+        for key in ("p", "c", "degree"):
+            if type(data[key]) is not int:
+                raise ValueError(f"{key} = {data[key]!r} is not an integer")
+        for key in ("A", "P", "B"):
+            if any(type(x) is not int for x in data[key]):
+                raise ValueError(f"{key} has a coefficient that is not an integer")
         p = Prime(data["p"]).value
-        c = int(data["c"])
+        c = data["c"]
         if not 1 <= c < p:
             raise ValueError(f"c = {c} is not in 1..{p - 1}")
         trunc = FpPoly(data["A"], p)
@@ -297,12 +313,11 @@ class TruncationRecord:
             raise ValueError("c*P*B^2 does not re-expand to A")
         if gcd(fact.cofactor, fact.cofactor.derivative()).degree != 0:
             raise ValueError("P is not squarefree")
-        degree = int(data["degree"])
+        degree = data["degree"]
         if degree <= 0 or (p - 1) % degree:
             raise ValueError(f"degree {degree} is not a positive divisor of p-1={p - 1}")
         gal = GaloisResult(p=p, degree=degree, kummer_exponent=(p - 1) // degree)
-        rec = cls(seq=data["seq"], p=p, trunc=trunc, factorization=fact, galois=gal)
-        return _with_prediction(rec)
+        return cls(seq=data["seq"], p=p, trunc=trunc, factorization=fact, galois=gal)
 
 
 def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
@@ -310,16 +325,4 @@ def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     parts = a_p.squarefree_decomposition()  # shared by both results
     fact = SquareCofactor.from_parts(a_p, parts)
     gal = GaloisResult.from_parts(a_p, parts)
-    rec = TruncationRecord(seq=seq.key, p=p, trunc=a_p, factorization=fact, galois=gal)
-    return _with_prediction(rec)
-
-
-def _with_prediction(rec: TruncationRecord) -> TruncationRecord:
-    if rec.seq not in FAMILIES:
-        return rec
-    return TruncationRecord(
-        seq=rec.seq, p=rec.p, trunc=rec.trunc, factorization=rec.factorization,
-        galois=rec.galois,
-        predicted_label=predicted_group(rec.seq, rec.p),
-        predicted_cofactor=predicted_cofactor(rec.seq, rec.p),
-    )
+    return TruncationRecord(seq=seq.key, p=p, trunc=a_p, factorization=fact, galois=gal)

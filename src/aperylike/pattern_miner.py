@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
-from .finite_field import is_prime, legendre
+from .finite_field import factorize, is_prime, legendre
 from .fp_poly import FpPoly
 from .kummer_galois import TruncationRecord, compute_record
-from .sequences import SequenceSpec, get_sequence
+from .sequences import SequenceSpec
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +57,6 @@ class LiftedCofactor:
     coeffs: tuple[int, ...]  # constant first
     normalization: str       # "constant" | "monic"
     reliable: bool
-    source_prime: int
 
     def reduce_mod(self, p: int) -> FpPoly:
         return FpPoly(self.coeffs, p)
@@ -81,7 +82,6 @@ def lift_cofactor(cofactor: FpPoly, p: int) -> LiftedCofactor:
         coeffs=lifted,
         normalization=normalization,
         reliable=p > 2 * height + 1,
-        source_prime=p,
     )
 
 
@@ -180,20 +180,15 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
     clusters: dict[tuple[str, tuple[int, ...]], Cluster] = {}
     pending: list[tuple[int, TruncationRecord, LiftedCofactor]] = []
 
-    def match(rec: TruncationRecord, lift: LiftedCofactor):
-        p = rec.p
-        if lift.normalization == "constant":
-            c0 = rec.factorization.cofactor.eval(0)
-            target = rec.factorization.cofactor.scale(pow(c0, p - 2, p))
-        else:
-            target = rec.factorization.cofactor.monic()
+    def match(p: int, lift: LiftedCofactor):
+        target = lift.reduce_mod(p)
         hits = [key for key in clusters
                 if key[0] == lift.normalization and FpPoly(key[1], p) == target]
         return sorted(hits, key=lambda k: (len(k[1]), k[1]))
 
     for rec in sorted(records, key=lambda r: -r.p):
         lift = lift_cofactor(rec.factorization.cofactor, rec.p)
-        hits = match(rec, lift)
+        hits = match(rec.p, lift)
         if len(hits) > 1:
             log.warning("%s p=%d: cofactor matches %d candidates; taking %s",
                         rec.seq, rec.p, len(hits), list(hits[0][1]))
@@ -207,7 +202,7 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
 
     unmatched: list[int] = []
     for p, rec, lift in sorted(pending):
-        hits = match(rec, lift)
+        hits = match(p, lift)
         if hits:
             clusters[hits[0]].primes.append(p)
         else:
@@ -264,15 +259,7 @@ class PatternReport:
 
 
 def _square_free_divisors(level: int) -> list[int]:
-    sf = 1
-    n, d = level, 2
-    while d * d <= n:
-        if n % d == 0:
-            sf *= d
-            while n % d == 0:
-                n //= d
-        d += 1
-    sf *= n if n > 1 else 1
+    sf = math.prod(factorize(level))
     return [d for d in range(2, sf + 1) if sf % d == 0]
 
 
@@ -434,11 +421,6 @@ def append_cache(path, records: list[TruncationRecord]) -> None:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
 
-def _compute_json(args: tuple[str, int]) -> dict:
-    seq_key, p = args
-    return compute_record(get_sequence(seq_key), p).to_json_dict()
-
-
 def sweep(
     seq: SequenceSpec,
     lo: int,
@@ -462,16 +444,13 @@ def sweep(
             continue
         todo.append(p)
 
-    fresh: list[TruncationRecord] = []
-    if todo:
-        if threads > 1 and len(todo) > 1 and not seq.is_external:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                dicts = list(pool.map(_compute_json, [(seq.key, p) for p in todo],
-                                      chunksize=max(1, len(todo) // (4 * threads))))
-            fresh = [TruncationRecord.from_json_dict(d) for d in dicts]
-        else:
-            fresh = [compute_record(seq, p) for p in todo]
-        append_cache(cache_path, fresh)
+    work = partial(compute_record, seq)
+    if threads > 1 and len(todo) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            fresh = list(pool.map(work, todo, chunksize=max(1, len(todo) // (4 * threads))))
+    else:
+        fresh = list(map(work, todo))
+    append_cache(cache_path, fresh)
 
     # spot-check ~1% of cache hits against fresh computation (seeded, so the
     # sample and hence the output are reproducible)
@@ -479,8 +458,8 @@ def sweep(
     if in_range:
         rng = random.Random(f"{seq.key}:{lo}:{hi}")
         for p in rng.sample(in_range, max(1, len(in_range) // 100)):
-            rec = compute_record(seq, p)
-            if cached[p].to_json_dict() != rec.to_json_dict():
+            rec = work(p)
+            if cached[p] != rec:
                 log.warning("%s: cached record at p=%d is stale; recomputed", seq.key, p)
                 cached[p] = rec
 

@@ -183,7 +183,6 @@ class SequenceSpec:
     recurrence: Recurrence | None = None
     gen_params: tuple[int, int] | None = None
     level: int | None = None
-    known_lucas: bool = True
     oeis: str | None = None
     table: CoefficientTable | None = field(default=None, compare=False)
 
@@ -278,7 +277,6 @@ def load_external(path, name: str | None = None) -> SequenceSpec:
     return SequenceSpec(
         key=f"external:{stem}",
         description=f"external coefficient table ({len(values)} terms)",
-        known_lucas=False,
         table=CoefficientTable(name=stem, values=tuple(values)),
     )
 

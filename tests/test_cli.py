@@ -1,8 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from aperylike import cli
 from aperylike.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -188,3 +193,27 @@ class TestMine:
         code, out, _ = run(capsys, "--timestamp", "catalog")
         assert code == 0
         assert out.startswith("# generated ")
+
+
+def _readme_commands() -> list[str]:
+    """Every ``aperylike ...`` line inside a fenced code block of the README."""
+    commands, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            line = line.removeprefix("$ ").strip()
+            if line.startswith("aperylike "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -195,6 +195,7 @@ class TestRecordSerialization:
         rec = compute_record(CATALOG["apery"], 13)
         data = rec.to_json_dict()
         back = rec.from_json_dict(data)
+        assert back == rec
         assert back.trunc == rec.trunc
         assert back.factorization.cofactor == rec.factorization.cofactor
         assert back.galois.degree == rec.galois.degree

@@ -12,7 +12,8 @@ from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
                                      lift_cofactor, mine, poly_str,
                                      primes_in_range, read_cache,
                                      report_table, sweep)
-from aperylike.sequences import CATALOG
+from aperylike.sequences import CATALOG, get_sequence, load_external
+from tests.conftest import exact_terms
 
 
 class TestPrimesInRange:
@@ -220,6 +221,36 @@ class TestSweepCache:
         assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
         assert len(cache.read_text().splitlines()) == len(tampered) + 5
 
+    @pytest.mark.parametrize("field,value", [
+        ("c", 1.9), ("c", True), ("degree", 12.5), ("degree", "12"),
+        ("p", "13"), ("p", 13.6), ("A", "+0.5"), ("P", "float"), ("B", "float"),
+    ], ids=["c-float", "c-bool", "degree-float", "degree-str", "p-str", "p-float",
+            "A-halves", "P-floats", "B-floats"])
+    def test_non_integer_number_skipped(self, tmp_path, caplog, field, value):
+        cache = tmp_path / "cache.jsonl"
+        clean = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30)]
+        sweep(CATALOG["apery"], 5, 30, cache_path=cache)
+        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
+        for data in tampered:
+            if data["p"] != 13:
+                continue
+            if value == "+0.5":
+                data[field] = [c + 0.5 for c in data[field]]
+            elif value == "float":
+                data[field] = [float(c) for c in data[field]]
+            else:
+                # each value coerces by int() to the clean one (c = 1, degree 12)
+                assert int(value) == data[field]
+                data[field] = value
+        cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            loaded = read_cache(cache, "apery")
+        assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p != 13]
+        assert caplog.text.count("skipping corrupt cache line") == 1
+        assert "is not an integer" in caplog.text
+        assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
+        assert len(cache.read_text().splitlines()) == len(tampered) + 1
+
     def test_cache_isolates_sequences(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 5, 30, cache_path=cache)
@@ -257,10 +288,19 @@ class TestSweepCache:
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_output(self):
-        serial = mine(CATALOG["apery"], 5, 100, threads=1)
-        parallel = mine(CATALOG["apery"], 5, 100, threads=3)
-        assert report_table(serial, "json") == report_table(parallel, "json")
+    def test_threads_do_not_change_output(self, tmp_path):
+        # a catalog row, the generalized family and a b-file: each goes
+        # through the process pool when threads > 1
+        bfile = tmp_path / "b005259.txt"
+        bfile.write_text("".join(f"{n} {v}\n" for n, v in enumerate(exact_terms("apery"))))
+        for seq in (CATALOG["apery"], get_sequence("gen:2,1"), load_external(bfile)):
+            serial = sweep(seq, 5, 100, threads=1)
+            parallel = sweep(seq, 5, 100, threads=3)
+            assert [r.p for r in serial] == primes_in_range(5, 100)
+            assert parallel == serial
+            serial_report = mine(seq, 5, 100, threads=1)
+            parallel_report = mine(seq, 5, 100, threads=3)
+            assert report_table(serial_report, "json") == report_table(parallel_report, "json")
 
     def test_cache_does_not_change_output(self, tmp_path):
         cold = mine(CATALOG["az"], 5, 80)

@@ -205,7 +205,6 @@ class TestExternal:
         spec = load_external(path)
         assert spec.key == "external:b005259"
         assert term_exact(spec, 2) == 73
-        assert not spec.known_lucas
 
     def test_gap_detected(self, tmp_path):
         path = tmp_path / "gap.txt"
