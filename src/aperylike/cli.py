@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(default 100, or 3p for the kummer check)")
     sp.add_argument("--allow-deep", action="store_true",
                     help="do not cap the precision at p-1")
-    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     sp = sub.add_parser("mine", help="sweep primes, cluster cofactors, infer classifiers")
     add_common(sp, prime=False)

@@ -115,11 +115,12 @@ class FpSeries:
         return result
 
     def compose(self, inner: "FpSeries") -> "FpSeries":
-        """self(inner) for inner with zero constant term, by Horner.
+        """self(inner) for inner with zero constant term.
 
-        Only the first ceil(N / val(inner)) outer coefficients can reach the
-        truncation order, which keeps the Horner loop short for inner series
-        of valuation > 1.
+        Only the first k = ceil(N / val(inner)) outer coefficients can reach
+        the truncation order N.  ``kernels.series_compose`` evaluates them
+        by Brent-Kung baby steps and giant steps: about 2*sqrt(k) products of
+        length N, where Horner takes k.
         """
         self._check(inner)
         if inner.coeffs[0] != 0:
@@ -129,13 +130,9 @@ class FpSeries:
         val = inner.truncate(n).valuation()
         if val is None:
             return FpSeries((self.coeffs[0],) + (0,) * (n - 1), p, _trusted=True)
-        inner_cs = list(inner.coeffs[:n])
         relevant = min(n, (n - 1) // val + 1)
-        acc = [0] * n
-        for c in reversed(self.coeffs[:relevant]):
-            acc = kernels.series_mul(acc, inner_cs, n, p)
-            acc[0] = (acc[0] + c) % p
-        return FpSeries(acc, p, _trusted=True)
+        out = kernels.series_compose(self.coeffs[:relevant], inner.coeffs, n, p)
+        return FpSeries(out, p, _trusted=True)
 
     def substitute_power(self, k: int) -> "FpSeries":
         """self(x^k) at the same precision; over F_p, self(x^p) equals self^p."""

@@ -1,5 +1,5 @@
-"""The hot loops: polynomial products and remainders, series products and
-inverses, and the fractional twist.
+"""The hot loops: polynomial products and remainders, series products,
+inverses and compositions, and the fractional twist.
 
 Contracts:
 
@@ -7,13 +7,19 @@ Contracts:
   already reduced into [0, p), p < 2^31; the products also take tuples;
 * ``poly_mul`` takes nonempty inputs and returns the full product without
   trimming trailing zeros;
-* ``poly_divrem`` / ``poly_gcd`` return trimmed lists (empty list = zero).
+* ``poly_divrem`` / ``poly_gcd`` return trimmed lists (empty list = zero);
+* ``series_mul``, ``series_inv`` and ``series_compose`` return exactly n
+  coefficients (the order x^n they truncate at); ``series_compose`` takes a
+  nonempty outer list and an inner list with zero constant term.
 
 ``poly_mul`` and ``series_mul`` are the only products in the library: a
 Kronecker substitution that packs each coefficient list into one Python int,
 multiplies once and unpacks.  The schoolbook oracle they are tested against
 is ``fp_poly.mul_schoolbook``.  ``series_inv``, the one Newton series
-inverse, is built on them.
+inverse, is built on them, and so is ``series_compose``, the one series
+composition (Brent-Kung baby steps and giant steps): its products are
+``series_mul`` calls, and its only other work is big-int scalar multiples of
+packed powers, unpacked by ``_unpack`` as ``_kronecker`` unpacks products.
 
 Division and gcd are subquadratic from degree ``_CROSSOVER`` on:
 ``poly_divrem`` multiplies the reversed dividend by the Newton inverse of the
@@ -29,6 +35,7 @@ the catalog recurrences mod p^N for every index.
 """
 import sys
 from array import array
+from math import isqrt
 
 _SWAP = sys.byteorder != "little"  # array('Q') is native-endian
 
@@ -60,8 +67,14 @@ def _kronecker(a, b, p, count):
     """
     limbs = 1 if min(len(a), len(b)) * (p - 1) ** 2 < 1 << 64 else 2
     prod = _pack(a, limbs) * _pack(b, limbs)
+    return _unpack(prod, limbs, len(a) + len(b) - 1, count, p)
+
+
+def _unpack(x, limbs, total, count, p):
+    """The first count of the total slots of x (``limbs`` 64-bit limbs each,
+    little-endian), reduced mod p; x must fit in total slots."""
     width = 8 * limbs
-    raw = prod.to_bytes(width * (len(a) + len(b) - 1), "little")
+    raw = x.to_bytes(width * total, "little")
     slots = array("Q")
     slots.frombytes(memoryview(raw)[: width * count])
     if _SWAP:
@@ -260,6 +273,39 @@ def series_mul(a, b, n, p):
         return [0] * n
     count = min(n, len(a) + len(b) - 1)
     return _kronecker(a, b, p, count) + [0] * (n - count)
+
+
+def series_compose(f, g, n, p):
+    """f(g) mod x^n for a nonempty f and g[0] = 0; returns n coefficients.
+
+    Brent-Kung baby-step/giant-step: with k = len(f) and m = ceil(sqrt(k)),
+    f(g) = sum_i C_i(g) (g^m)^i for the chunks C_i = f[i*m:(i+1)*m].  The
+    baby steps g^0 .. g^(m-1) are packed once; each C_i(g) is a sum of
+    big-int scalar multiples of them, unpacked once, and Horner in g^m joins
+    the chunks.  That is about 2*sqrt(k) calls to ``series_mul`` instead of
+    the k of Horner in g.  A slot of C_i(g) sums at most m terms below
+    (p-1)^2, so the limb rule is ``_kronecker``'s.
+    """
+    k = len(f)
+    m = isqrt(k - 1) + 1
+    g = g[:n]
+    powers = [[1], g]
+    while len(powers) < m:
+        powers.append(series_mul(powers[-1], g, n, p))
+    limbs = 1 if m * (p - 1) ** 2 < 1 << 64 else 2
+    packed = [_pack(gj, limbs) for gj in powers[:m]]
+
+    def chunk(i):
+        combo = sum(c * x for c, x in zip(f[i * m:(i + 1) * m], packed))
+        return _unpack(combo, limbs, n, n, p)
+
+    top = (k - 1) // m
+    acc = chunk(top)
+    if top:
+        giant = series_mul(powers[m - 1], g, n, p)
+        for i in range(top - 1, -1, -1):
+            acc = [(x + c) % p for x, c in zip(series_mul(acc, giant, n, p), chunk(i))]
+    return acc
 
 
 def twist_sum(cs, num, den, p):

@@ -322,11 +322,12 @@ def infer_conditions(
     """Search the classifier language for an exact partition of the sweep.
 
     Primes whose cofactor lift never matched a candidate mean the clustering
-    itself is incomplete, so their presence forces UNRESOLVED.
+    itself is incomplete, so their presence forces UNRESOLVED.  So does an
+    empty sweep: with no cluster there is nothing that was validated.
     """
     good = "UNRESOLVED" if unmatched else "VALIDATED"
     if not clusters:
-        return PatternReport(seq_key, lo, hi, good, (), unmatched=tuple(unmatched))
+        return PatternReport(seq_key, lo, hi, "UNRESOLVED", (), unmatched=tuple(unmatched))
     if len(clusters) == 1:
         entry = ClusterReport(clusters[0].coeffs, clusters[0].normalization,
                               AlwaysTrue(), tuple(clusters[0].primes), ())

@@ -6,6 +6,7 @@ import pytest
 
 from aperylike import cli
 from aperylike.cli import main
+from tests.conftest import exact_terms
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -151,6 +152,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "twist", "--seq", "franel", "--prime", "7")
         assert code == 2
 
+    def test_format_is_rejected(self):
+        # verify prints text lines only, so it takes no --format
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "hypergeometric", "--primes", "5..13", "--format", "json"])
+        assert info.value.code == 2
+
 
 class TestMine:
     def test_json_report(self, capsys, tmp_path):
@@ -188,6 +195,17 @@ class TestMine:
         assert code == 1
         code, _, _ = run(capsys, "mine", "--seq", f"@{path}", "--primes", "5..31")
         assert code == 0  # without --strict the report alone is not a failure
+
+    def test_strict_fails_when_no_prime_is_mined(self, capsys, tmp_path):
+        # a 51-term table is too short for every prime in 100..200, so every
+        # prime is skipped and nothing is validated
+        path = tmp_path / "short.b"
+        path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(exact_terms("apery")[:51])))
+        code, out, _ = run(capsys, "mine", "--seq", f"@{path}", "--primes", "100..200",
+                           "--threads", "1", "--format", "json", "--strict")
+        data = json.loads(out)
+        assert data["clusters"] == [] and data["status"] == "UNRESOLVED"
+        assert code == 1
 
     def test_timestamp_flag(self, capsys):
         code, out, _ = run(capsys, "--timestamp", "catalog")

@@ -119,6 +119,12 @@ class TestInference:
                 assert cl.classifier.matches(p) is True
                 assert (p % 24 in (1, 5, 7, 11)) == s_cluster
 
+    def test_no_clusters_unresolved(self):
+        # nothing was mined, so nothing was validated
+        report = infer_conditions("fake", [], [], 5, 11)
+        assert report.status == "UNRESOLVED"
+        assert report.clusters == ()
+
     def test_unresolved_reports_exceptions(self):
         # partition by p mod 7 is outside the classifier language
         ps = primes_in_range(5, 200)
@@ -335,7 +341,7 @@ class TestReportFormats:
 
     def test_empty_range(self):
         report = mine(CATALOG["apery"], 80, 82)
-        assert report.status == "VALIDATED"
+        assert report.status == "UNRESOLVED"
         assert report.clusters == ()
 
     def test_poly_str(self):

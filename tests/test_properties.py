@@ -104,3 +104,51 @@ def test_half_gcd_step_is_euclid(p, seed):
         return list((FpPoly(u, p) * FpPoly(a, p) + FpPoly(v, p) * FpPoly(b, p)).coeffs)
 
     assert (apply(m[0], m[1]), apply(m[2], m[3])) == (c, d)
+
+
+# outer lengths k at and next to the chunk boundaries of series_compose,
+# whose chunks have ceil(sqrt(k)) coefficients
+OUTER_LENGTHS = sorted({1, 2} | {s * s + d for s in range(2, 18) for d in (-1, 0, 1)})
+
+
+def _compose_prefixes(f, g, n, p):
+    """For k = 1 .. len(f), sum_{j<k} f[j] g^j mod x^n, the powers from the
+    schoolbook product."""
+    acc, power = [0] * n, [1]
+    for c in f:
+        acc = list(acc)
+        for i, x in enumerate(power):
+            acc[i] = (acc[i] + c * x) % p
+        yield acc
+        # only indices below n are kept: past the first nonzero power[v],
+        # only g[:n - v] can reach them
+        v = next((i for i, x in enumerate(power) if x), n)
+        power = mul_schoolbook(power, g[:n - v], p)[:n] if v < n else []
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(p=st.one_of(st.sampled_from(WIDE_PRIMES), st.sampled_from(PRIMES)),
+       val=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_series_compose_matches_powers(p, val, seed):
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 300)
+
+    def coeffs(count):
+        return [p - 1 if rnd.random() < 0.5 else rnd.randrange(p) for _ in range(count)]
+
+    f = coeffs(OUTER_LENGTHS[-1])
+    g = [0] * val + coeffs(n - val)
+    if n > val:
+        g[val] = g[val] or 1  # valuation exactly val
+    for k, want in enumerate(_compose_prefixes(f, g, n, p), 1):
+        if k in OUTER_LENGTHS:
+            assert kernels.series_compose(f[:k], g, n, p) == want, k
+
+
+def test_series_compose_two_limb_slots():
+    # k = 100 gives chunks of m = 10 powers; with every coefficient p-1 a
+    # slot of a chunk's combination then passes 2^64, so it needs two limbs
+    p = 2 ** 31 - 1
+    n = 100
+    f, g = [p - 1] * 100, [0] + [p - 1] * (n - 1)
+    assert kernels.series_compose(f, g, n, p) == list(_compose_prefixes(f, g, n, p))[-1]
