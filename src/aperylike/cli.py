@@ -252,8 +252,10 @@ def _run_check(check: str, seq, p: int, args) -> tuple[bool, str]:
         a = modular_relations.verify_endpoint_constant(p)
         return True, f"H(-1)={'1' if a == 1 else '-1'}"
     if check == "hypergeometric":
-        ok = modular_relations.verify_h_2f1_relation(p, capped)
-        ok2 = modular_relations.verify_H_power_identity(p, max(p, order))
+        # one build of the series serves both checks
+        link = modular_relations.gauss_link(p, max(p, order))
+        ok = modular_relations.verify_h_2f1_relation(p, capped, link)
+        ok2 = modular_relations.verify_H_power_identity(p, max(p, order), link)
         return ok and ok2, "" if ok and ok2 else f"link={ok} power={ok2}"
     if check == "substitution":
         res = modular_relations.verify_substitution(seq.key, p, capped)

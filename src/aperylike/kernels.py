@@ -12,19 +12,25 @@ Contracts:
   coefficients (the order x^n they truncate at); ``series_compose`` takes a
   nonempty outer list and an inner list with zero constant term.
 
-``poly_mul`` and ``series_mul`` are the only products in the library: a
-Kronecker substitution that packs each coefficient list into one Python int,
-multiplies once and unpacks.  The schoolbook oracle they are tested against
-is ``fp_poly.mul_schoolbook``.  ``series_inv``, the one Newton series
-inverse, is built on them, and so is ``series_compose``, the one series
-composition (Brent-Kung baby steps and giant steps): its products are
-``series_mul`` calls, and its only other work is big-int scalar multiples of
-packed powers, unpacked by ``_unpack`` as ``_kronecker`` unpacks products.
+Every product in the library is one Kronecker substitution, ``_muladd``: it
+packs each coefficient list into one Python int, sums the products of its
+pairs of lists and one term shifted by k slots, and unpacks and reduces the
+sum mod p once.  A slot is 4, 8 or 16 bytes, the narrowest that holds the
+largest value the sum can put there (``_slot_width``).  For a product of
+lists of m and n coefficients that is min(m, n) (p-1)^2, so near p = 2000
+a product whose shorter factor has fewer than about 1000 coefficients
+packs into 4-byte slots, half the width of a 64-bit limb.
+``poly_mul`` and ``series_mul`` are its one-pair case; the schoolbook oracle
+they are tested against is ``fp_poly.mul_schoolbook``.  ``series_inv``, the
+one Newton series inverse, is built on them, and so is ``series_compose``,
+the one series composition (Brent-Kung baby steps and giant steps): its
+products are ``series_mul`` calls, and its only other work is big-int scalar
+multiples of packed powers, packed and unpacked with the same slot rule.
 
 Division and gcd are subquadratic from degree ``_CROSSOVER`` on:
 ``poly_divrem`` multiplies the reversed dividend by the Newton inverse of the
-reversed divisor, and ``poly_gcd`` runs the half-gcd ``_hgcd``, whose 2x2
-matrices of Euclid steps are multiplied with ``poly_mul``.  Below the
+reversed divisor, and ``poly_gcd`` runs the half-gcd ``_hgcd``, whose lifts
+and 2x2 matrix products are one ``_muladd`` per entry.  Below the
 crossover they fall back to the quadratic loops ``divrem_classic`` and
 ``gcd_euclid``, which are also the oracles the fast paths are tested
 against.  Quotients, remainders and monic gcds are unique, so both paths
@@ -37,7 +43,7 @@ import sys
 from array import array
 from math import isqrt
 
-_SWAP = sys.byteorder != "little"  # array('Q') is native-endian
+_SWAP = sys.byteorder != "little"  # array('I') and array('Q') are native-endian
 
 # Degree from which division and gcd leave the quadratic loops.  On the
 # squarefree decompositions of Apery truncations up to p = 4999, values from
@@ -46,47 +52,60 @@ _SWAP = sys.byteorder != "little"  # array('Q') is native-endian
 _CROSSOVER = 64
 
 
-def _pack(a, limbs):
-    """The int with a[i] in 64-bit limb i*limbs (little-endian slots)."""
-    if limbs == 1:
-        arr = array("Q", a)
+def _slot_width(bound):
+    """Bytes per packed slot for slot values below bound: 4, 8 or 16."""
+    return 4 if bound < 1 << 32 else 8 if bound < 1 << 64 else 16
+
+
+def _pack(a, width):
+    """The int with a[i] in slot i of ``width`` bytes (little-endian)."""
+    if width < 16:
+        arr = array("I" if width == 4 else "Q", a)  # 'I' is 4 bytes on CPython
     else:
-        arr = array("Q", bytes(8 * limbs * len(a)))
-        arr[::limbs] = array("Q", a)
+        arr = array("Q", bytes(width * len(a)))
+        arr[::2] = array("Q", a)
     if _SWAP:
         arr.byteswap()
     return int.from_bytes(arr, "little")
 
 
-def _kronecker(a, b, p, count):
-    """The first count coefficients of a*b, count <= len(a)+len(b)-1.
-
-    A product coefficient is a sum of at most min(len(a), len(b)) terms below
-    (p-1)^2 < 2^62, so one 64-bit limb per slot holds it when that bound
-    fits and two limbs always do.
-    """
-    limbs = 1 if min(len(a), len(b)) * (p - 1) ** 2 < 1 << 64 else 2
-    prod = _pack(a, limbs) * _pack(b, limbs)
-    return _unpack(prod, limbs, len(a) + len(b) - 1, count, p)
-
-
-def _unpack(x, limbs, total, count, p):
-    """The first count of the total slots of x (``limbs`` 64-bit limbs each,
+def _unpack(x, width, total, count, p):
+    """The first count of the total slots of x (``width`` bytes each,
     little-endian), reduced mod p; x must fit in total slots."""
-    width = 8 * limbs
     raw = x.to_bytes(width * total, "little")
-    slots = array("Q")
+    slots = array("I" if width == 4 else "Q")
     slots.frombytes(memoryview(raw)[: width * count])
     if _SWAP:
         slots.byteswap()
-    if limbs == 1:
+    if width < 16:
         return [c % p for c in slots]
     return [(lo | hi << 64) % p for lo, hi in zip(slots[::2], slots[1::2])]
 
 
+def _muladd(pairs, p, shift=(), k=0, count=None):
+    """The first count coefficients (default: all) of the sum of a*b over the
+    pairs (a, b), plus x^k * shift, reduced mod p.  Pairs with an empty
+    factor are skipped; the result is not trimmed.
+
+    One Kronecker substitution serves the whole sum: a slot adds at most
+    min(len(a), len(b)) terms below (p-1)^2 per pair and one coefficient of
+    shift below p, so it is ``_slot_width`` of that bound, and the sum is
+    unpacked and reduced once.
+    """
+    pairs = [(a, b) for a, b in pairs if a and b]
+    total = max((len(a) + len(b) - 1 for a, b in pairs), default=0)
+    terms = sum(min(len(a), len(b)) for a, b in pairs)
+    width = _slot_width(terms * (p - 1) ** 2 + (p - 1 if shift else 0))
+    x = sum(_pack(a, width) * _pack(b, width) for a, b in pairs)
+    if shift:
+        total = max(total, k + len(shift))
+        x += _pack(shift, width) << 8 * width * k
+    return _unpack(x, width, total, total if count is None else count, p)
+
+
 def poly_mul(a, b, p):
     """Kronecker product of coefficient lists; len(out) == len(a)+len(b)-1."""
-    return _kronecker(a, b, p, len(a) + len(b) - 1)
+    return _muladd(((a, b),), p)
 
 
 def _trim(a):
@@ -95,29 +114,6 @@ def _trim(a):
         n -= 1
     del a[n:]
     return a
-
-
-def _add_shifted(lo, hi, k, p):
-    """lo + x^k * hi, trimmed."""
-    out = list(lo)
-    if len(out) < k + len(hi):
-        out.extend([0] * (k + len(hi) - len(out)))
-    for i, c in enumerate(hi):
-        out[k + i] = (out[k + i] + c) % p
-    return _trim(out)
-
-
-def _mul(a, b, p):
-    return poly_mul(a, b, p) if a and b else []
-
-
-def _sub(a, b, p):
-    return _add_shifted(a, [p - c for c in b], 0, p)
-
-
-def _dot(u0, v0, u1, v1, p):
-    """u0*v0 + u1*v1, trimmed."""
-    return _add_shifted(_mul(u0, v0, p), _mul(u1, v1, p), 0, p)
 
 
 def _submul(u, q, v, p):
@@ -196,9 +192,9 @@ def _hgcd_euclid(a, b, h, p):
 
 def _lift(m, c, d, a_lo, b_lo, k, p):
     """m (a, b) for a = a_lo + x^k a_hi, b = b_lo + x^k b_hi, given
-    (c, d) = m (a_hi, b_hi)."""
-    return (_add_shifted(_dot(m[0], a_lo, m[1], b_lo, p), c, k, p),
-            _add_shifted(_dot(m[2], a_lo, m[3], b_lo, p), d, k, p))
+    (c, d) = m (a_hi, b_hi); each row is one ``_muladd``."""
+    return (_trim(_muladd(((m[0], a_lo), (m[1], b_lo)), p, c, k)),
+            _trim(_muladd(((m[2], a_lo), (m[3], b_lo)), p, d, k)))
 
 
 def _hgcd(a, b, p, matrix=True):
@@ -227,10 +223,12 @@ def _hgcd(a, b, p, matrix=True):
     f, g = _lift(s, f, g, _trim(d[:k]), _trim(e[:k]), k, p)
     if not matrix:
         return None, f, g
-    # s * [[0, 1], [1, -q]] * r
-    t0, t1 = _sub(r[0], _mul(q, r[2], p), p), _sub(r[1], _mul(q, r[3], p), p)
-    m = (_dot(s[0], r[2], s[1], t0, p), _dot(s[0], r[3], s[1], t1, p),
-         _dot(s[2], r[2], s[3], t0, p), _dot(s[2], r[3], s[3], t1, p))
+    # s * [[0, 1], [1, -q]] * r = s * [[r2, r3], [t0, t1]] for
+    # t_j = r_j - q r_(j+2); each entry is one _muladd
+    neg_q = [-c % p for c in q]
+    t = [_trim(_muladd(((neg_q, r[j + 2]),), p, r[j])) for j in (0, 1)]
+    m = tuple(_trim(_muladd(((s[i], r[j + 2]), (s[i + 1], t[j])), p))
+              for i in (0, 2) for j in (0, 1))
     return m, f, g
 
 
@@ -272,7 +270,7 @@ def series_mul(a, b, n, p):
     if not a or not b:
         return [0] * n
     count = min(n, len(a) + len(b) - 1)
-    return _kronecker(a, b, p, count) + [0] * (n - count)
+    return _muladd(((a, b),), p, count=count) + [0] * (n - count)
 
 
 def series_compose(f, g, n, p):
@@ -284,7 +282,7 @@ def series_compose(f, g, n, p):
     big-int scalar multiples of them, unpacked once, and Horner in g^m joins
     the chunks.  That is about 2*sqrt(k) calls to ``series_mul`` instead of
     the k of Horner in g.  A slot of C_i(g) sums at most m terms below
-    (p-1)^2, so the limb rule is ``_kronecker``'s.
+    (p-1)^2, so its width is ``_slot_width`` of m*(p-1)^2.
     """
     k = len(f)
     m = isqrt(k - 1) + 1
@@ -292,12 +290,12 @@ def series_compose(f, g, n, p):
     powers = [[1], g]
     while len(powers) < m:
         powers.append(series_mul(powers[-1], g, n, p))
-    limbs = 1 if m * (p - 1) ** 2 < 1 << 64 else 2
-    packed = [_pack(gj, limbs) for gj in powers[:m]]
+    width = _slot_width(m * (p - 1) ** 2)
+    packed = [_pack(gj, width) for gj in powers[:m]]
 
     def chunk(i):
         combo = sum(c * x for c, x in zip(f[i * m:(i + 1) * m], packed))
-        return _unpack(combo, limbs, n, n, p)
+        return _unpack(combo, width, n, n, p)
 
     top = (k - 1) // m
     acc = chunk(top)

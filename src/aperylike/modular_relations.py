@@ -10,6 +10,7 @@ boolean verifiers) rather than being an interesting outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IdentityViolationError
 from .families import get_family
@@ -77,34 +78,54 @@ def _link_series(p: int, precision: int) -> tuple[FpSeries, FpSeries]:
     return y, lam
 
 
-def verify_h_2f1_relation(p: int, precision: int = 100) -> bool:
+class GaussLink(NamedTuple):
+    """The series both checks of the Gauss link read: h, the Gauss series g
+    (at most p coefficients), and y(x), lambda(x) of ``_link_series``."""
+    h: FpSeries
+    g: FpSeries
+    y: FpSeries
+    lam: FpSeries
+
+
+def gauss_link(p: int, precision: int) -> GaussLink:
+    """The series of ``GaussLink``, each built once to the given precision
+    (g to at most p); a check at a lower precision reads their prefixes."""
+    y, lam = _link_series(p, precision)
+    return GaussLink(franel_series(p, precision), hypergeometric_2f1(min(precision, p), p),
+                     y, lam)
+
+
+def verify_h_2f1_relation(p: int, precision: int = 100, link: GaussLink | None = None) -> bool:
     """h = lambda(x) * g(y(x)) mod x^N for the weight-(1/3,2/3;1) Gauss series g.
 
     The Gauss coefficients need k! invertible, so the working precision is
-    capped at p - 1.
+    capped at p - 1.  ``link`` may hold the series at a higher precision.
     """
     n = min(precision, p - 1)
-    g = hypergeometric_2f1(n, p)
-    y, lam = _link_series(p, n)
+    h, g, y, lam = (s.truncate(n) for s in (link or gauss_link(p, n)))
     lhs = lam * g.compose(y)
-    return lhs == franel_series(p, n)
+    return lhs == h
 
 
-def verify_H_power_identity(p: int, precision: int | None = None) -> bool:
+def verify_H_power_identity(p: int, precision: int | None = None,
+                            link: GaussLink | None = None) -> bool:
     """Two consequences of the Lucas structure of h, checked to order N >= p:
 
     * H * h^(p-1) = 1, with h^(p-1) computed as h(x^p)/h (Frobenius);
     * H = (1-2x)^(p-1) * G(y(x)) with G the order-p truncation of the Gauss
       series (a polynomial in y, composed as a series in x).
+
+    ``link`` may hold the series at a precision of N or more.
     """
     n = max(p, precision or 0)
-    h = franel_series(p, n)
+    link = link or gauss_link(p, n)
+    h = link.h.truncate(n)
     h_pow = h.substitute_power(p) * h.inv()
     big_h = FpSeries.from_poly(franel_truncation(p), n)
     if big_h * h_pow != FpSeries.one(p, n):
         return False
-    g_trunc = FpSeries.from_poly(FpPoly(hypergeometric_2f1(p, p).coeffs, p), n)
-    y, _ = _link_series(p, n)
+    g_trunc = FpSeries.from_poly(FpPoly(link.g.truncate(p).coeffs, p), n)
+    y = link.y.truncate(n)
     lam_pow = FpSeries.from_poly(FpPoly((1, -2), p) ** (p - 1), n)
     rhs = lam_pow * g_trunc.compose(y)
     return big_h == rhs

@@ -19,9 +19,7 @@ import logging
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from .finite_field import factorize, is_prime, legendre
 from .fp_poly import FpPoly
@@ -422,6 +420,20 @@ def append_cache(path, records: list[TruncationRecord]) -> None:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
 
+# The sequence of a pool worker, set once per worker process by the pool's
+# initializer, so that the mapped tasks carry only primes.
+_worker_seq: SequenceSpec | None = None
+
+
+def _init_worker(seq: SequenceSpec) -> None:
+    global _worker_seq
+    _worker_seq = seq
+
+
+def _worker_record(p: int) -> TruncationRecord:
+    return compute_record(_worker_seq, p)
+
+
 def sweep(
     seq: SequenceSpec,
     lo: int,
@@ -445,12 +457,16 @@ def sweep(
             continue
         todo.append(p)
 
-    work = partial(compute_record, seq)
     if threads > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            fresh = list(pool.map(work, todo, chunksize=max(1, len(todo) // (4 * threads))))
+        # imported here, so that serial runs do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                                 initargs=(seq,)) as pool:
+            fresh = list(pool.map(_worker_record, todo,
+                                  chunksize=max(1, len(todo) // (4 * threads))))
     else:
-        fresh = list(map(work, todo))
+        fresh = [compute_record(seq, p) for p in todo]
     append_cache(cache_path, fresh)
 
     # spot-check ~1% of cache hits against fresh computation (seeded, so the
@@ -459,7 +475,7 @@ def sweep(
     if in_range:
         rng = random.Random(f"{seq.key}:{lo}:{hi}")
         for p in rng.sample(in_range, max(1, len(in_range) // 100)):
-            rec = work(p)
+            rec = compute_record(seq, p)
             if cached[p] != rec:
                 log.warning("%s: cached record at p=%d is stale; recomputed", seq.key, p)
                 cached[p] = rec

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aperylike import cli
+from aperylike import cli, modular_relations
 from aperylike.cli import main
 from tests.conftest import exact_terms
 
@@ -151,6 +151,22 @@ class TestVerify:
     def test_family_check_rejects_nonfamily(self, capsys):
         code, _, _ = run(capsys, "verify", "twist", "--seq", "franel", "--prime", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("order", [None, "3", "40"])
+    def test_hypergeometric_builds_each_series_once(self, capsys, monkeypatch, order):
+        # both checks of the Gauss link read one build of each series per
+        # prime, at precision max(p, order)
+        builds = []
+        for name in ("_link_series", "hypergeometric_2f1", "franel_series"):
+            def counted(p, precision, *rest, _fn=getattr(modular_relations, name), _name=name):
+                builds.append(_name)
+                return _fn(p, precision, *rest)
+            monkeypatch.setattr(modular_relations, name, counted)
+        argv = ["verify", "hypergeometric", "--primes", "5..13"]
+        code, out, _ = run(capsys, *argv, *(["--order", order] if order else []))
+        assert code == 0 and out.count("PASS") == 4
+        assert sorted(builds) == sorted(["_link_series", "hypergeometric_2f1",
+                                         "franel_series"] * 4)
 
     def test_format_is_rejected(self):
         # verify prints text lines only, so it takes no --format

@@ -107,13 +107,23 @@ class TestKronecker:
             b = [rng.randrange(p) for _ in range(size)]
             assert kernels.poly_mul(a, b, p) == mul_schoolbook(a, b, p)
 
-    @pytest.mark.parametrize("la, lb", [(4, 4), (5, 5), (1, 4097), (4097, 2), (4097, 4097)])
-    def test_slot_width(self, la, lb):
-        # every coefficient p-1 at the largest prime: each product term is
-        # (p-1)^2 = 1 mod p, the largest value a slot must hold, so
-        # coefficient i counts the index pairs summing to i; 4x4 is the
-        # widest one-limb shape, 5x5 the narrowest two-limb one
-        p = 2 ** 31 - 1
+    @pytest.mark.parametrize("p, la, lb", [
+        pytest.param(65521, 1, 1, id="65521-1-1"),
+        pytest.param(65521, 1, 300, id="65521-1-300"),
+        pytest.param(65521, 2, 2, id="65521-2-2"),
+        pytest.param(2 ** 31 - 1, 4, 4, id="4-4"),
+        pytest.param(2 ** 31 - 1, 5, 5, id="5-5"),
+        pytest.param(2 ** 31 - 1, 1, 4097, id="1-4097"),
+        pytest.param(2 ** 31 - 1, 4097, 2, id="4097-2"),
+        pytest.param(2 ** 31 - 1, 4097, 4097, id="4097-4097"),
+    ])
+    def test_slot_width(self, p, la, lb):
+        # every coefficient p-1: each product term is (p-1)^2 = 1 mod p, the
+        # largest value a slot must hold, so coefficient i counts the index
+        # pairs summing to i.  At p = 65521, (p-1)^2 < 2^32 < 2 (p-1)^2: 1x1
+        # is the widest 4-byte shape and 2x2 the narrowest 8-byte one; at
+        # p = 2^31-1, 4x4 is the widest 8-byte shape and 5x5 the narrowest
+        # 16-byte one
         out = kernels.poly_mul([p - 1] * la, [p - 1] * lb, p)
         assert out == [(min(i, la - 1) - max(0, i - lb + 1) + 1) % p
                        for i in range(la + lb - 1)]

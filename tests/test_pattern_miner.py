@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import logging
+import pickle
 
 import pytest
 
@@ -307,6 +309,42 @@ class TestDeterminism:
             serial_report = mine(seq, 5, 100, threads=1)
             parallel_report = mine(seq, 5, 100, threads=3)
             assert report_table(serial_report, "json") == report_table(parallel_report, "json")
+
+    def test_pool_tasks_carry_only_primes(self, tmp_path, monkeypatch):
+        # the b-file table goes to each worker once, through the pool's
+        # initializer, and never into a mapped task
+        bfile = tmp_path / "b005259.txt"
+        bfile.write_text("".join(f"{n} {v}\n" for n, v in enumerate(exact_terms("apery"))))
+        seq = load_external(bfile)
+        pools = []
+
+        class RecordingExecutor:
+            """Runs the pool in this process and pickles each mapped task."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                self.initializer, self.initargs, self.tasks = initializer, initargs, []
+                pools.append(self)
+
+            def __enter__(self):
+                self.initializer(*self.initargs)
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                items = list(items)
+                self.tasks += [pickle.dumps((fn, item)) for item in items]
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(pattern_miner, "_worker_seq", None)
+        assert sweep(seq, 5, 100, threads=2) == sweep(seq, 5, 100, threads=1)
+        (pool,) = pools
+        assert pool.initargs == (seq,)
+        assert len(pool.tasks) == len(primes_in_range(5, 100))
+        table = pickle.dumps(seq.table)
+        assert all(len(task) < len(table) // 100 for task in pool.tasks)
 
     def test_cache_does_not_change_output(self, tmp_path):
         cold = mine(CATALOG["az"], 5, 80)

@@ -14,8 +14,9 @@ from aperylike.sequences import CATALOG, coefficients_mod_p, term_mod_p  # noqa:
 from tests.conftest import EXACT_LAST, exact_terms  # noqa: E402
 
 PRIMES = [p for p in range(5, 400) if is_prime(p)]
-# primes up to the largest the library accepts, where one more term per
-# product coefficient decides between one and two 64-bit limbs per slot
+# primes up to the largest the library accepts; at 65521 and 2^31-1, one
+# more term per product coefficient decides between 4- and 8-byte and
+# between 8- and 16-byte slots
 WIDE_PRIMES = [2, 3, 65521, 2 ** 31 - 19, 2 ** 31 - 1]
 
 
@@ -42,6 +43,52 @@ def test_kronecker_matches_schoolbook(p, la, lb, rnd):
 
     a, b = coeffs(la), coeffs(lb)
     assert kernels.poly_mul(a, b, p) == mul_schoolbook(a, b, p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.one_of(st.sampled_from(WIDE_PRIMES), st.sampled_from(PRIMES)),
+       seed=st.integers(0, 2 ** 32))
+def test_muladd_matches_schoolbook_sums(p, seed):
+    # zero to three pairs, empty factors included, plus a shifted term; about
+    # half the coefficients are p-1, the largest a slot can receive
+    rnd = random.Random(seed)
+
+    def coeffs():
+        n = rnd.choice([0, rnd.randint(1, 8), rnd.randint(1, 150)])
+        return [p - 1 if rnd.random() < 0.5 else rnd.randrange(p) for _ in range(n)]
+
+    pairs = [(coeffs(), coeffs()) for _ in range(rnd.randint(0, 3))]
+    shift, k = coeffs(), rnd.randint(0, 160)
+    want = [0] * (k + len(shift)) if shift else []
+    for i, c in enumerate(shift):
+        want[k + i] = c
+    for a, b in pairs:
+        if a and b:
+            prod = mul_schoolbook(a, b, p)
+            want.extend([0] * (len(prod) - len(want)))
+            for i, c in enumerate(prod):
+                want[i] = (want[i] + c) % p
+    assert kernels._muladd(pairs, p, shift, k) == want
+    count = rnd.randint(0, len(want))
+    assert kernels._muladd(pairs, p, shift, k, count) == want[:count]
+
+
+@pytest.mark.parametrize("terms, shifted", [(1311, False), (1310, True), (1311, True)])
+def test_muladd_slot_width(terms, shifted):
+    # at p = 1811, 1311 (p-1)^2 < 2^32 <= 1311 (p-1)^2 + p-1: two pairs whose
+    # plateaus overlap on slots 999..1399 sum to `terms` terms there, and the
+    # shifted term p-1 at slot 1200 makes that slot the largest a 4-byte
+    # slot can receive (1311 without, 1310 with the shift) or the smallest
+    # that needs 8 bytes.  Every term is (p-1)^2 = 1 or p-1 = -1 mod p.
+    p = 1811
+    lens = [(1000, 1400), (terms - 1000, 1400)]
+    pairs = [([p - 1] * la, [p - 1] * lb) for la, lb in lens]
+    shift, k = ([p - 1], 1200) if shifted else ((), 0)
+    want = [sum(max(0, min(i, la - 1) - max(0, i - lb + 1) + 1) for la, lb in lens)
+            for i in range(2399)]
+    if shifted:
+        want[k] -= 1
+    assert kernels._muladd(pairs, p, shift, k) == [c % p for c in want]
 
 
 # lengths from 1 to five times the crossover, drawn uniformly by a seeded
@@ -147,7 +194,7 @@ def test_series_compose_matches_powers(p, val, seed):
 
 def test_series_compose_two_limb_slots():
     # k = 100 gives chunks of m = 10 powers; with every coefficient p-1 a
-    # slot of a chunk's combination then passes 2^64, so it needs two limbs
+    # slot of a chunk's combination then passes 2^64, so it needs 16 bytes
     p = 2 ** 31 - 1
     n = 100
     f, g = [p - 1] * 100, [0] + [p - 1] * (n - 1)
