@@ -1,0 +1,99 @@
+"""Golden outputs: the stdout of a fixed list of CLI commands, and for
+``mine`` its cache file, compared byte for byte with ``tests/golden/``.
+
+Each command runs in process through ``cli.main`` with one thread.  A golden
+file pins the answers from change to change, so it changes only together
+with a CHANGES.md entry that says which output changed and why; never
+regenerate one to make this test pass.  To write the files of a commit whose
+output is to be pinned, run from the repository root:
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+import io
+import shlex
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from aperylike.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# name -> command; ``mine`` commands also get ``--threads 1 --cache PATH``.
+# The first three are the perfbench workloads (at their widest windows).
+CASES = {
+    "galois-apery": "galois --seq apery --primes 5..350 --check-theorem",
+    "mine-bfile": "mine --seq @{bfile} --primes 1949..1999",
+    "verify-2f1": "verify hypergeometric --primes 5..200",
+    "galois-domb": "galois --seq domb --primes 5..499 --check-theorem",
+    "mine-apery-json": "mine --seq apery --primes 5..499 --format json",
+    "mine-a181418": "mine --seq a181418 --primes 5..499",
+    "verify-hypergeometric": "verify hypergeometric --primes 5..700",
+    "verify-twist-az": "verify twist --seq az --primes 5..499",
+    "verify-twist-apery": "verify twist --seq apery --primes 5..300",
+    "verify-twist-domb": "verify twist --seq domb --primes 5..300",
+    "verify-substitution-domb": "verify substitution --seq domb --primes 5..300",
+    "verify-kummer-apery": "verify kummer --seq apery --primes 5..200",
+    "verify-quadratic-apery": "verify quadratic --seq apery --primes 5..499",
+    "verify-quadratic-domb": "verify quadratic --seq domb --primes 5..499",
+    "verify-quadratic-az": "verify quadratic --seq az --primes 5..499",
+}
+
+BFILE_TERMS = 2100
+
+
+def write_apery_bfile(path: Path) -> None:
+    """Apery numbers a(0..BFILE_TERMS-1) as an OEIS b-file, from the exact
+    recurrence (n+1)^3 a(n+1) = (34n^3 + 51n^2 + 27n + 5) a(n) - n^3 a(n-1)."""
+    values = [1, 5]
+    for n in range(1, BFILE_TERMS - 1):
+        num = (34 * n ** 3 + 51 * n ** 2 + 27 * n + 5) * values[n] - n ** 3 * values[n - 1]
+        q, r = divmod(num, (n + 1) ** 3)
+        assert r == 0, f"Apery recurrence not integral at n={n + 1}"
+        values.append(q)
+    path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values)), encoding="utf-8")
+
+
+def run_case(name: str, workdir: Path) -> dict[str, bytes]:
+    """The files a case produces, by golden file name: ``NAME.out`` (stdout)
+    and, for ``mine``, ``NAME.cache.jsonl``."""
+    bfile = workdir / "apery.b"  # the sequence key is external:apery
+    argv = shlex.split(CASES[name].format(bfile=bfile))
+    cache = workdir / f"{name}.cache.jsonl"
+    if argv[0] == "mine":
+        argv += ["--threads", "1", "--cache", str(cache)]
+        if "{bfile}" in CASES[name]:
+            write_apery_bfile(bfile)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, f"{name}: exit code {code}"
+    files = {f"{name}.out": out.getvalue().encode("utf-8")}
+    if argv[0] == "mine":
+        files[cache.name] = cache.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    for filename, got in run_case(name, tmp_path).items():
+        want = (GOLDEN / filename).read_bytes()
+        if got != want:
+            lines = zip(got.splitlines(), want.splitlines())
+            first = next((i for i, (a, b) in enumerate(lines, 1) if a != b), None)
+            pytest.fail(f"{filename} differs from the golden file "
+                        f"(first differing line: {first}, "
+                        f"{len(got)} bytes against {len(want)})")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            for filename, data in run_case(case, Path(tmp)).items():
+                (GOLDEN / filename).write_bytes(data)
+                print(f"wrote {filename}: {len(data)} bytes", file=sys.stderr)
