@@ -98,7 +98,10 @@ def _primes_for(args) -> list[int]:
         return [Prime(args.prime).value]
     if getattr(args, "primes", None) is not None:
         lo, hi = args.primes
-        return primes_in_range(lo, hi)
+        primes = primes_in_range(lo, hi)
+        if not primes:
+            raise UsageError(f"--primes {lo}..{hi} holds no prime >= 5")
+        return primes
     raise UsageError("one of --prime / --primes is required")
 
 
@@ -197,7 +200,7 @@ def _cmd_galois(args) -> int:
     if args.format == "json":
         _emit(json.dumps({"seq": seq.key, "rows": rows}, indent=2))
     elif args.format == "csv":
-        cols = list(rows[0].keys()) if rows else ["p", "degree", "label"]
+        cols = list(rows[0])
         _emit(",".join(cols))
         for row in rows:
             _emit(",".join(str(row[c]) for c in cols))

@@ -2,9 +2,12 @@
 
 Each family couples its generating series f to the Franel square through
 f(t(x)) = rho(x) * h(x)^2, carries the fractional involution sigma fixing
-t(x), the twist factor w with H = +/- sigma(H) * w^(p-1), the quadratic
-a(t) x^2 + b(t) x + c(t) = 0 satisfied by x over F_p(t), and the quadratic
-cofactor showing up in the truncation factorizations.
+t(x), the quadratic a(t) x^2 + b(t) x + c(t) = 0 satisfied by x over F_p(t),
+and the quadratic cofactor showing up in the truncation factorizations.
+
+The twist H = +/- sigma(H) * w^(p-1) needs no data of its own: its factor w
+is sigma_den up to a constant, and the (p-1)-th power removes that constant,
+so H(sigma_num/sigma_den) cleared by sigma_den^(p-1) already contains w.
 
 All constants are integers (x- and t-polynomials as ascending coefficient
 tuples) and get reduced mod p on demand.
@@ -35,8 +38,6 @@ class FamilySpec:
     # involution sigma: x -> sigma_num/sigma_den fixing t(x)
     sigma_num: tuple[int, ...]
     sigma_den: tuple[int, ...]
-    # H = sign * sigma(H) * twist^(p-1)
-    twist: tuple[int, ...]
     # a(t) x^2 + b(t) x + c(t) = 0, coefficients as t-polynomials
     quad_a: tuple[int, ...]
     quad_b: tuple[int, ...]
@@ -50,7 +51,7 @@ class FamilySpec:
     fixing_sign: int
 
     def twist_sign(self, p: int) -> int:
-        """Expected sign in H = sign * sigma(H) * twist^(p-1)."""
+        """Expected sign in H = sign * sigma(H) * w^(p-1)."""
         if self.key == "az":
             return 1
         return 1 if p % 6 == 1 else -1
@@ -85,9 +86,6 @@ class FamilySpec:
     def sigma_den_poly(self, p: int) -> FpPoly:
         return FpPoly(self.sigma_den, p)
 
-    def twist_poly(self, p: int) -> FpPoly:
-        return FpPoly(self.twist, p)
-
     def quad_polys(self, p: int) -> tuple[FpPoly, FpPoly, FpPoly]:
         return FpPoly(self.quad_a, p), FpPoly(self.quad_b, p), FpPoly(self.quad_c, p)
 
@@ -100,7 +98,7 @@ FAMILIES: dict[str, FamilySpec] = {
     "apery": FamilySpec(
         key="apery",
         t_num=(0, 1, -8), t_den=(1, 1), rho=(1, 1),
-        sigma_num=(1, -8), sigma_den=(8, 8), twist=(1, 1),
+        sigma_num=(1, -8), sigma_den=(8, 8),
         quad_a=(8,), quad_b=(-1, 1), quad_c=(0, 1),
         cofactor_quad=(1, -34, 1),
         u_num=8, u_den=9, fixing_sign=1,
@@ -109,7 +107,7 @@ FAMILIES: dict[str, FamilySpec] = {
     "domb": FamilySpec(
         key="domb",
         t_num=(0, 1, 1), t_den=(1, -8), rho=(1, -8),
-        sigma_num=(1, 1), sigma_den=(-1, 8), twist=(-1, 8),
+        sigma_num=(1, 1), sigma_den=(-1, 8),
         quad_a=(1,), quad_b=(1, 8), quad_c=(0, -1),
         cofactor_quad=(1, 20, 64),
         u_num=1, u_den=9, fixing_sign=1,
@@ -118,7 +116,7 @@ FAMILIES: dict[str, FamilySpec] = {
     "az": FamilySpec(
         key="az",
         t_num=(0, 1), t_den=(1, -7, -8), rho=(1, -7, -8),
-        sigma_num=(-1,), sigma_den=(0, 8), twist=(0, 1),
+        sigma_num=(-1,), sigma_den=(0, 8),
         quad_a=(0, 8), quad_b=(1, 7), quad_c=(0, -1),
         cofactor_quad=(1, 14, 81),
         u_num=8, u_den=1, fixing_sign=-1,

@@ -4,6 +4,8 @@ Coefficients are stored ascending (index = exponent) with no trailing
 zeros; the zero polynomial has an empty coefficient tuple and degree -inf.
 Every product is the Kronecker substitution ``kernels.poly_mul``;
 ``mul_schoolbook`` is the independent quadratic oracle it is tested against.
+``FpPoly.substitute_rational`` is the one denominator-cleared substitution
+of a fraction u/v, a divide and conquer on those products.
 Division and gcd are ``kernels.poly_divrem`` and ``kernels.poly_gcd``:
 Newton division and a half-gcd from degree ``kernels._CROSSOVER`` on, with
 the quadratic loops ``kernels.divrem_classic`` and ``kernels.gcd_euclid`` as
@@ -113,15 +115,17 @@ class FpPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "FpPoly":
+        """Left-to-right binary power: one square per bit below the top one
+        and one product by self per set bit, so f ** 1 is f itself."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = FpPoly.one(self.p)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return FpPoly.one(self.p)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def divrem(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
@@ -231,22 +235,45 @@ class FpPoly:
             root = root * g ** (e // 2)
         return root.scale(r)
 
-    def substitute_rational(self, u: "FpPoly", v: "FpPoly") -> "FpPoly":
-        """Numerator of self(u/v) cleared by v^deg(self).
+    def substitute_rational(self, u: "FpPoly", v: "FpPoly",
+                            degree: int | None = None) -> "FpPoly":
+        """Numerator of self(u/v) cleared by v^degree: the sum of
+        c_k u^k v^(degree-k), with degree deg self by default.
 
-        Constants (including zero) are returned unchanged (v^0 = 1).
+        Divide and conquer on the L = degree+1 zero-padded coefficients cs:
+        T(cs) = v^(L-h) T(cs[:h]) + u^h T(cs[h:]) with h = L // 2, and
+        T((c,)) = c (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 9).
+        Each power of u and v is built once, from its two halves; for u and v
+        of bounded degree that is O(M(L) log L), M(L) the cost of one product
+        of degree L.
         """
         self._check(u)
         self._check(v)
         if not v:
             raise ZeroDivisionError("zero denominator in rational substitution")
-        if self.degree <= 0:
-            return self
-        d = len(self.coeffs) - 1
-        if not u:
-            return (v ** d).scale(self.coeffs[0])
-        out = kernels.twist_sum(list(self.coeffs), list(u.coeffs), list(v.coeffs), self.p)
-        return FpPoly(out, self.p, _trusted=True)
+        d = max(len(self.coeffs) - 1, 0)
+        if degree is None:
+            degree = d
+        elif degree < d:
+            raise ValueError(f"clearing degree {degree} is below the degree {d}")
+        p = self.p
+        cs = self.coeffs + (0,) * (degree + 1 - len(self.coeffs))
+        powers: dict[tuple[bool, int], FpPoly] = {}
+
+        def power(f: FpPoly, k: int) -> FpPoly:
+            key = (f is v, k)
+            if key not in powers:
+                powers[key] = f if k == 1 else power(f, k // 2) * power(f, k - k // 2)
+            return powers[key]
+
+        def cleared(lo: int, n: int) -> FpPoly:
+            # T(cs[lo:lo+n])
+            if n == 1:
+                return FpPoly.constant(cs[lo], p)
+            h = n // 2
+            return power(v, n - h) * cleared(lo, h) + power(u, h) * cleared(lo + h, n - h)
+
+        return cleared(0, len(cs))
 
     def __repr__(self):
         return f"FpPoly({list(self.coeffs)} mod {self.p})"

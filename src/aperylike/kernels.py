@@ -1,5 +1,5 @@
-"""The hot loops: polynomial products and remainders, series products,
-inverses and compositions, and the fractional twist.
+"""The hot loops: polynomial products and remainders, and series products,
+inverses and compositions.
 
 Contracts:
 
@@ -304,25 +304,3 @@ def series_compose(f, g, n, p):
         for i in range(top - 1, -1, -1):
             acc = [(x + c) % p for x, c in zip(series_mul(acc, giant, n, p), chunk(i))]
     return acc
-
-
-def twist_sum(cs, num, den, p):
-    """Sum of cs[k] * num^k * den^(L-1-k) for L = len(cs), trimmed.
-
-    This is the denominator-cleared form of substituting the fractional map
-    num/den into the polynomial cs and rescaling by den^(L-1).
-    """
-    L = len(cs)
-    acc = [cs[L - 1] % p]
-    dpow = [1]
-    for k in range(L - 2, -1, -1):
-        acc = poly_mul(acc, num, p)
-        dpow = poly_mul(dpow, den, p)
-        c = cs[k]
-        if c:
-            if len(dpow) > len(acc):
-                acc.extend([0] * (len(dpow) - len(acc)))
-            for j, d in enumerate(dpow):
-                if d:
-                    acc[j] = (acc[j] + c * d) % p
-    return _trim(acc)

@@ -42,8 +42,9 @@ def verify_ode(p: int) -> bool:
 def verify_sigma_twist(family: str, p: int) -> int:
     """Sign s in H = s * sigma(H) * w^(p-1); checked against the mod-6 rule.
 
-    The twist is computed in cleared form sum_n c_n num^n den^(p-1-n); the
-    residual constant (den lead)^(p-1) is 1 by Fermat and drops out.
+    The twist is H(num/den) cleared by den^(p-1).  The factor w is den up to
+    a constant, whose (p-1)-th power is 1 by Fermat, so den^(p-1) = w^(p-1)
+    and the cleared twist is sigma(H) * w^(p-1) itself.
     """
     spec = get_family(family)
     h = franel_truncation(p)
@@ -187,14 +188,8 @@ def verify_quadratic(family: str, p: int) -> QuadraticCheck:
     qa, qb, qc = spec.quad_polys(p)
     tn, td = spec.t_num_poly(p), spec.t_den_poly(p)
     d = max(int(q.degree) for q in (qa, qb, qc) if q)
-
-    def cleared(q: FpPoly) -> FpPoly:
-        # t_den^d * q(t(x)) as a polynomial in x
-        if not q:
-            return q
-        return q.substitute_rational(tn, td) * td ** (d - int(q.degree))
-
-    ca, cb, cc = cleared(qa), cleared(qb), cleared(qc)
+    # t_den^d * q(t(x)) as polynomials in x
+    ca, cb, cc = (q.substitute_rational(tn, td, d) for q in (qa, qb, qc))
     x = FpPoly((0, 1), p)
     x_solves = not (ca * x * x + cb * x + cc)
 
@@ -217,15 +212,9 @@ def verify_quadratic(family: str, p: int) -> QuadraticCheck:
 
 def _compose_sigma(num: FpPoly, den: FpPoly, sn: FpPoly, sd: FpPoly) -> tuple[FpPoly, FpPoly]:
     """(num/den)(sn/sd) as a fraction n2/d2 of polynomials in x, both parts
-    cleared by the same power of sd."""
-    n2 = num.substitute_rational(sn, sd)
-    d2 = den.substitute_rational(sn, sd)
-    dn, dd = int(num.degree), int(den.degree)
-    if dn < dd:
-        n2 = n2 * sd ** (dd - dn)
-    elif dd < dn:
-        d2 = d2 * sd ** (dn - dd)
-    return n2, d2
+    cleared by sd^max(deg num, deg den)."""
+    d = max(num.degree, den.degree)
+    return num.substitute_rational(sn, sd, d), den.substitute_rational(sn, sd, d)
 
 
 def verify_sigma_involution(family: str, p: int) -> bool:

@@ -100,6 +100,13 @@ class TestGalois:
         assert code == 0
         assert out.splitlines()[0] == "p,degree,label"
 
+    def test_range_without_primes_is_2(self, capsys):
+        # a range with no prime >= 5 checks nothing, so it must not pass
+        code, out, err = run(capsys, "galois", "--seq", "apery",
+                             "--primes", "1..4", "--check-theorem")
+        assert code == 2 and out == ""
+        assert "1..4" in err
+
     def test_check_theorem_requires_family(self, capsys):
         code, _, _ = run(capsys, "galois", "--seq", "franel",
                          "--prime", "7", "--check-theorem")
@@ -143,6 +150,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "kummer", "--seq", f"@{path}",
                            "--prime", "5", "--order", "30")
         assert code == 1 and "FAIL" in out
+
+    def test_reversed_range_is_2(self, capsys):
+        code, out, err = run(capsys, "verify", "ode", "--primes", "9..4")
+        assert code == 2 and out == ""
+        assert "9..4" in err
 
     def test_needs_seq(self, capsys):
         code, _, _ = run(capsys, "verify", "lucas", "--prime", "7")

@@ -86,6 +86,24 @@ class TestRing:
         assert f ** 0 == FpPoly.one(7)
         assert f ** 3 == f * f * f
 
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (13, 5)])
+    def test_pow_makes_only_the_products_it_needs(self, monkeypatch, k, products):
+        # one square per bit below the top one and one product per set bit
+        # below it: f ** 5 = (f^2)^2 * f is 3 products, f ** 1 none
+        f = P([1, 1], 7)
+        want = [1]
+        for _ in range(k):
+            want = mul_schoolbook(want, list(f.coeffs), 7)
+        calls = []
+
+        def counted(a, b, p, _mul=kernels.poly_mul):
+            calls.append((a, b))
+            return _mul(a, b, p)
+
+        monkeypatch.setattr(kernels, "poly_mul", counted)
+        assert list((f ** k).coeffs) == want
+        assert len(calls) == products
+
 
 class TestKronecker:
     def test_agreement_random(self, rng):
@@ -322,6 +340,20 @@ class TestSubstituteRational:
             for i, c in enumerate(f.coeffs):
                 expect = expect + (u ** i * v ** (d - i)).scale(c)
             assert f.substitute_rational(u, v) == expect
+
+
+class TestClearingDegree:
+    def test_constant_is_cleared(self):
+        v = P([1, 1], 5)
+        assert P([3], 5).substitute_rational(P([0, 1], 5), v, 2) == (v * v).scale(3)
+
+    def test_zero_stays_zero(self):
+        for degree in (None, 0, 3):
+            assert not FpPoly.zero(5).substitute_rational(P([0, 1], 5), P([1, 1], 5), degree)
+
+    def test_degree_below_self_raises(self):
+        with pytest.raises(ValueError):
+            P([1, 1, 1], 5).substitute_rational(P([0, 1], 5), P([1, 1], 5), 1)
 
 
 class TestFormat:

@@ -199,3 +199,37 @@ def test_series_compose_two_limb_slots():
     n = 100
     f, g = [p - 1] * 100, [0] + [p - 1] * (n - 1)
     assert kernels.series_compose(f, g, n, p) == list(_compose_prefixes(f, g, n, p))[-1]
+
+
+def _cleared_by_definition(cs, u, v, degree, p):
+    """sum_k cs[k] u^k v^(degree-k), nested as c_0 v^d + u (c_1 v^(d-1) + u (...)),
+    every product from the schoolbook loop; trimmed."""
+    vpow = [[1]]
+    for _ in range(degree):
+        vpow.append(mul_schoolbook(vpow[-1], v, p))
+    acc = []
+    for k in range(degree, -1, -1):
+        acc = mul_schoolbook(acc, u, p) if acc and u else []
+        term = [cs[k] * x % p for x in vpow[degree - k]] if k < len(cs) else []
+        acc += [0] * (len(term) - len(acc))
+        for i, x in enumerate(term):
+            acc[i] = (acc[i] + x) % p
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=st.one_of(st.sampled_from(WIDE_PRIMES), st.sampled_from(PRIMES)),
+       seed=st.integers(0, 2 ** 32))
+def test_substitute_rational_matches_definition(p, seed):
+    # lengths drawn uniformly by a seeded generator, so that odd and even
+    # lengths and unequal halves occur at several split levels; the clearing
+    # degree runs from deg self to deg self + 3, and u may be zero
+    rnd = random.Random(seed)
+    cs = _poly(rnd, p, rnd.randint(1, 300))
+    degree = len(cs) - 1 + rnd.randint(0, 3)
+    u = rnd.choice([[], _poly(rnd, p, rnd.randint(1, 3))])
+    v = _poly(rnd, p, rnd.randint(1, 3))
+    got = FpPoly(cs, p).substitute_rational(FpPoly(u, p), FpPoly(v, p), degree)
+    assert list(got.coeffs) == _cleared_by_definition(cs, u, v, degree, p)
