@@ -44,16 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="prepend a generation timestamp (off keeps output reproducible)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, seq=True, prime=True, rng=True, fmt=True):
-        if seq:
-            sp.add_argument("--seq", required=True,
-                            help="catalog name, gen:r,s, or @/path/to/bfile")
+    def add_common(sp, prime=True, rng=True):
+        sp.add_argument("--seq", required=True,
+                        help="catalog name, gen:r,s, or @/path/to/bfile")
         if prime:
             sp.add_argument("--prime", type=int)
         if rng:
             sp.add_argument("--primes", type=_parse_range, metavar="LO..HI")
-        if fmt:
-            sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     sp = sub.add_parser("catalog", help="list built-in sequences")
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -77,9 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--primes", type=_parse_range, metavar="LO..HI")
     sp.add_argument("--order", type=int, default=None,
                     help="series precision for series-based checks "
-                         "(default 100, or 3p for the kummer check)")
-    sp.add_argument("--allow-deep", action="store_true",
-                    help="do not cap the precision at p-1")
+                         "(default 100, or 3p for the kummer check; "
+                         "the 2F1 link check caps it at p-1)")
 
     sp = sub.add_parser("mine", help="sweep primes, cluster cofactors, infer classifiers")
     add_common(sp, prime=False)
@@ -92,11 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _primes_for(args) -> list[int]:
-    if getattr(args, "prime", None) is not None and getattr(args, "primes", None) is not None:
+    if args.prime is not None and args.primes is not None:
         raise UsageError("--prime and --primes are mutually exclusive")
-    if getattr(args, "prime", None) is not None:
+    if args.prime is not None:
         return [Prime(args.prime).value]
-    if getattr(args, "primes", None) is not None:
+    if args.primes is not None:
         lo, hi = args.primes
         primes = primes_in_range(lo, hi)
         if not primes:
@@ -238,7 +235,6 @@ def _cmd_verify(args) -> int:
 
 def _run_check(check: str, seq, p: int, args) -> tuple[bool, str]:
     order = args.order if args.order is not None else 100
-    capped = order if args.allow_deep else min(order, p - 1)
     if check == "lucas":
         report = sequences.verify_lucas_property(seq, p)
         return report.ok, "" if report.ok else f"counterexample (n,l)={report.counterexample}"
@@ -257,11 +253,11 @@ def _run_check(check: str, seq, p: int, args) -> tuple[bool, str]:
     if check == "hypergeometric":
         # one build of the series serves both checks
         link = modular_relations.gauss_link(p, max(p, order))
-        ok = modular_relations.verify_h_2f1_relation(p, capped, link)
+        ok = modular_relations.verify_h_2f1_relation(p, order, link)
         ok2 = modular_relations.verify_H_power_identity(p, max(p, order), link)
         return ok and ok2, "" if ok and ok2 else f"link={ok} power={ok2}"
     if check == "substitution":
-        res = modular_relations.verify_substitution(seq.key, p, capped)
+        res = modular_relations.verify_substitution(seq.key, p, order)
         return True, f"sign={'+' if res.sign == 1 else '-'}"
     if check == "quadratic":
         res = modular_relations.verify_quadratic(seq.key, p)

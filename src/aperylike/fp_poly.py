@@ -13,7 +13,9 @@ base cases and oracles.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from . import kernels
 from .finite_field import inv_mod, sqrt_mod
@@ -219,21 +221,17 @@ class FpPoly:
     def is_perfect_square(self) -> "FpPoly | None":
         """A square root in F_p[t] when one exists, else None.
 
-        Exists iff every multiplicity is even and lc is a quadratic residue;
-        the root's leading coefficient is the stable representative chosen
-        by sqrt_mod.
+        With self = c * P * B^2 (``square_cofactor``), a root exists iff
+        P = 1 and c is a quadratic residue, and it is sqrt_mod(c) * B: its
+        leading coefficient is the stable representative chosen by sqrt_mod.
         """
         if not self:
             return self
-        r = sqrt_mod(self.lc(), self.p)
-        if r is None:
+        fact = self.square_cofactor()
+        r = sqrt_mod(fact.c, self.p)
+        if fact.cofactor != 1 or r is None:
             return None
-        root = FpPoly.one(self.p)
-        for g, e in self.squarefree_decomposition():
-            if e % 2:
-                return None
-            root = root * g ** (e // 2)
-        return root.scale(r)
+        return fact.root.scale(r)
 
     def substitute_rational(self, u: "FpPoly", v: "FpPoly",
                             degree: int | None = None) -> "FpPoly":
@@ -337,14 +335,11 @@ class SquareCofactor:
     @classmethod
     def from_parts(cls, a: FpPoly, parts: list[tuple[FpPoly, int]]) -> "SquareCofactor":
         """Split a given its squarefree decomposition; checks the re-expansion."""
-        p = a.p
-        cof = FpPoly.one(p)
-        root = FpPoly.one(p)
-        for g, e in parts:
-            if e % 2:
-                cof = cof * g
-            if e // 2:
-                root = root * g ** (e // 2)
+        def product(fs: list[FpPoly]) -> FpPoly:
+            return reduce(operator.mul, fs) if fs else FpPoly.one(a.p)
+
+        cof = product([g for g, e in parts if e % 2])
+        root = product([g ** (e // 2) for g, e in parts if e > 1])
         result = cls(a.lc(), cof, root)
         if result.expand() != a:
             raise ArithmeticError("square cofactor re-expansion failed")

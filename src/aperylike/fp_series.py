@@ -103,15 +103,17 @@ class FpSeries:
         return FpSeries(g, self.p, _trusted=True)
 
     def pow_int(self, k: int) -> "FpSeries":
+        """Left-to-right binary power, as ``FpPoly.__pow__``; a negative k
+        powers the inverse."""
         if k < 0:
             return self.inv().pow_int(-k)
-        result = FpSeries.one(self.p, len(self.coeffs))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return FpSeries.one(self.p, len(self.coeffs))
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def compose(self, inner: "FpSeries") -> "FpSeries":

@@ -172,10 +172,15 @@ def verify_kummer_relation(seq: SequenceSpec, p: int, precision: int | None = No
 def rational_kummer_cofactor(f: FpSeries, degree_bound: int) -> tuple[FpPoly, FpPoly]:
     """Recover A(t) = num/den with f = A * f(t^p), for deg num, deg den <= D.
 
-    Solves the homogeneous Pade system den * q = num mod x^(2D+2) for
-    q = f / f(t^p) by Gaussian elimination and verifies the candidate against
-    every further known coefficient of q.  Raises ReconstructionError when no
-    candidate at this bound survives (callers may retry with a larger bound).
+    With q = f / f(t^p), den * q = num mod x^(2D+2) is rational
+    reconstruction, which the extended Euclid of (x^(2D+2), q) solves: its
+    first remainder of degree <= D is num and the matching Bezout cofactor
+    of q is den (von zur Gathen-Gerhard, Modern Computer Algebra, 5.7-5.9),
+    both from one half-gcd ``kernels._hgcd``.  At every bound at or above
+    the degrees of A that pair is the reduced fraction (ibid., Thm 5.16),
+    normalized to den(0) = 1; it is checked against every further known
+    coefficient of q.  Raises ReconstructionError when no candidate at this
+    bound survives (callers may retry with a larger bound).
     """
     p = f.p
     d = degree_bound
@@ -185,64 +190,22 @@ def rational_kummer_cofactor(f: FpSeries, degree_bound: int) -> tuple[FpPoly, Fp
     if n < 2 * d + 2:
         raise ValueError(f"precision {n} too small for degree bound {d} (need {2 * d + 2})")
     q = (f * f.substitute_power(p).inv()).coeffs
-
-    # rows i = d+1 .. 2d+1: sum_j den_j q_(i-j) = 0, unknowns den_0..den_d
-    rows = [[q[i - j] if i >= j else 0 for j in range(d + 1)] for i in range(d + 1, 2 * d + 2)]
-    den = _kernel_vector(rows, p)
-    num = kernels.series_mul(list(q), den, d + 1, p)
-    den_poly = FpPoly(den, p)
-    num_poly = FpPoly(num, p)
-    if not den_poly or den_poly.eval(0) == 0:
+    # [x^(2D+2), q] -> [r_prev, num] with deg num <= D < deg r_prev
+    m, _, num = kernels._hgcd([0] * (2 * d + 2) + [1], kernels._trim(list(q[:2 * d + 2])), p)
+    den_poly = FpPoly(m[3], p, _trusted=True)
+    if den_poly[0] == 0 or den_poly.degree > d:
         raise ReconstructionError(f"no reconstruction with unit denominator at bound {d}")
     # normalize den(0) = 1
-    scale = inv_mod(den_poly.eval(0), p)
+    scale = inv_mod(den_poly[0], p)
     den_poly = den_poly.scale(scale)
-    num_poly = num_poly.scale(scale)
+    num_poly = FpPoly(num, p, _trusted=True).scale(scale)
     # verify against all known coefficients of q
     check = kernels.series_mul(list(q), list(den_poly.coeffs), n, p)
     for i in range(n):
-        if check[i] != (num_poly[i] if i < d + 1 else 0):
+        if check[i] != num_poly[i]:
             raise ReconstructionError(
                 f"candidate at bound {d} fails verification at order {i}")
     return num_poly, den_poly
-
-
-def _kernel_vector(rows: list[list[int]], p: int) -> list[int]:
-    """A nonzero kernel vector of the (m x w) system over F_p, deterministic.
-
-    The last non-pivot column is set to 1 and the rest back-substituted.
-    """
-    w = len(rows[0]) if rows else 1
-    mat = [row[:] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(w):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = inv_mod(mat[r][col], p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(w) if c not in pivot_cols]
-    if not free:
-        raise ReconstructionError("Pade system has no nonzero kernel")
-    free_col = free[-1]
-    vec = [0] * w
-    vec[free_col] = 1
-    for row, col in pivots:
-        vec[col] = (-mat[row][free_col]) % p
-    return vec
 
 
 # -- per-prime records -----------------------------------------------------------

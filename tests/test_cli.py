@@ -132,6 +132,20 @@ class TestVerify:
                            "--prime", "101")
         assert code == 0 and "sign=+" in out
 
+    def test_substitution_checks_past_p(self, capsys, monkeypatch):
+        # f(t(x)) = rho(x) h(x)^2 holds over Z[[x]], so the check runs to
+        # --order at every p; a wrong coefficient at index p must show
+        def corrupted(seq, n, p, _coeffs=modular_relations.coefficients_mod_p):
+            cs = _coeffs(seq, n, p)
+            if n > p:
+                cs[p] = (cs[p] + 1) % p
+            return cs
+
+        monkeypatch.setattr(modular_relations, "coefficients_mod_p", corrupted)
+        code, out, _ = run(capsys, "verify", "substitution", "--seq", "domb",
+                           "--prime", "5", "--order", "30")
+        assert code == 1 and "FAIL" in out
+
     def test_endpoint(self, capsys):
         code, out, _ = run(capsys, "verify", "endpoint", "--primes", "5..13")
         assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from aperylike import kernels
-from aperylike.fp_poly import FpPoly, gcd, mul_schoolbook
+from aperylike.fp_poly import FpPoly, SquareCofactor, gcd, mul_schoolbook
 from aperylike.sequences import CATALOG, truncation_poly
 from tests.conftest import random_poly, random_squarefree
 
@@ -264,6 +264,30 @@ class TestSquareCofactor:
     def test_constant(self):
         fact = P([3], 7).square_cofactor()
         assert (fact.c, fact.cofactor, fact.root) == (3, FpPoly.one(7), FpPoly.one(7))
+
+    @pytest.mark.parametrize("parts, products", [
+        ([], 2),
+        ([([1, 1], 1), ([2, 1], 2)], 2),
+        ([([1, 1], 1), ([3, 1], 1), ([2, 1], 4)], 4),
+    ])
+    def test_from_parts_makes_only_the_products_it_needs(self, monkeypatch, parts, products):
+        # P and B start from their first factors, not from 1: the two
+        # products of the re-expansion check, one per further factor of P
+        # and one per square in B
+        p = 7
+        parts = [(P(g, p), e) for g, e in parts]
+        a = FpPoly.constant(3, p)
+        for g, e in parts:
+            a = a * g ** e
+        calls = []
+
+        def counted(x, y, p, _mul=kernels.poly_mul):
+            calls.append((x, y))
+            return _mul(x, y, p)
+
+        monkeypatch.setattr(kernels, "poly_mul", counted)
+        SquareCofactor.from_parts(a, parts)  # raises unless c*P*B^2 == a
+        assert len(calls) == products
 
     def test_roundtrip_random(self, rng):
         for _ in range(1000):

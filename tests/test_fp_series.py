@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from aperylike import kernels
 from aperylike.finite_field import inv_mod
-from aperylike.fp_poly import FpPoly
+from aperylike.fp_poly import FpPoly, mul_schoolbook
 from aperylike.fp_series import (FpSeries, expand_rational,
                                  hypergeometric_2f1)
 
@@ -140,6 +141,32 @@ class TestSubstitutePower:
         n = 30
         f = S([rng.randrange(p) for _ in range(n)], p)
         assert f.substitute_power(p) == f.pow_int(p)
+
+
+class TestPowInt:
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (13, 5)])
+    def test_makes_only_the_products_it_needs(self, monkeypatch, k, products):
+        # one square per bit below the top one and one product per set bit
+        # below it, as FpPoly.__pow__
+        p, n = 7, 12
+        f = S([1, 3, 0, 5, 1, 0, 0, 2, 0, 0, 0, 1], p)
+        want = [1]
+        for _ in range(k):
+            want = mul_schoolbook(want, list(f.coeffs), p)[:n]
+        want += [0] * (n - len(want))
+        calls = []
+
+        def counted(a, b, n, p, _mul=kernels.series_mul):
+            calls.append((a, b))
+            return _mul(a, b, n, p)
+
+        monkeypatch.setattr(kernels, "series_mul", counted)
+        assert list(f.pow_int(k).coeffs) == want
+        assert len(calls) == products
+
+    def test_negative_power_is_inverse(self):
+        f = S([1, -2, 0, 0], 7)
+        assert f.pow_int(-2) == f.inv() * f.inv()
 
 
 class TestHypergeometric:

@@ -189,6 +189,28 @@ class TestRationalReconstruction:
         num, den = rational_kummer_cofactor(f, 4)
         assert num * FpPoly([1, 4], p) == den * FpPoly([1, 0, 3], p)
 
+    def test_candidate_checked_past_the_pade_window(self):
+        # A = 1/(1 - t^4): q = 1 mod x^4, so bound 1 reconstructs 1/1 from
+        # the first 4 coefficients, and only q[4] = 1 rejects it
+        p = 7
+        n = 45
+        den = FpPoly([1, 0, 0, 0, -1], p)
+        r = expand_rational(FpPoly.one(p), den, n)
+        f = r * r.substitute_power(p) * r.substitute_power(p * p)
+        with pytest.raises(ReconstructionError, match="order 4"):
+            rational_kummer_cofactor(f, 1)
+        assert rational_kummer_cofactor(f, 4) == (FpPoly.one(p), den)
+
+    @pytest.mark.parametrize("num, den", [([1, 1], [1]), ([1, 1], [1, 2])])
+    def test_overshoot_returns_reduced_pair(self, num, den):
+        # bound 2 is above both degrees; the answer is still the reduced
+        # fraction with den(0) = 1
+        p = 7
+        n = 45
+        r = expand_rational(FpPoly(num, p), FpPoly(den, p), n)
+        f = r * r.substitute_power(p) * r.substitute_power(p * p)
+        assert rational_kummer_cofactor(f, 2) == (FpPoly(num, p), FpPoly(den, p))
+
 
 class TestRecordSerialization:
     def test_roundtrip(self):
