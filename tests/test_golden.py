@@ -7,9 +7,14 @@ with a CHANGES.md entry that says which output changed and why; never
 regenerate one to make this test pass.  To write the files of a commit whose
 output is to be pinned, run from the repository root:
 
-    PYTHONPATH=src python -m tests.test_golden
+    PYTHONPATH=src python -m tests.test_golden [NAME ...]
+
+With no NAME it writes every case of ``CASES``; a case of ``STRETCH_CASES``
+is written only when it is named.  The stretch cases run only with
+``APERYLIKE_STRETCH=1``.
 """
 import io
+import os
 import shlex
 import sys
 from contextlib import redirect_stdout
@@ -41,6 +46,11 @@ CASES = {
     "verify-quadratic-az": "verify quadratic --seq az --primes 5..499",
 }
 
+# Longer runs, compared only when APERYLIKE_STRETCH=1.
+STRETCH_CASES = {
+    "galois-apery-2503": "galois --seq apery --primes 5..2503 --check-theorem",
+}
+
 BFILE_TERMS = 2100
 
 
@@ -60,11 +70,12 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     """The files a case produces, by golden file name: ``NAME.out`` (stdout)
     and, for ``mine``, ``NAME.cache.jsonl``."""
     bfile = workdir / "apery.b"  # the sequence key is external:apery
-    argv = shlex.split(CASES[name].format(bfile=bfile))
+    command = {**CASES, **STRETCH_CASES}[name]
+    argv = shlex.split(command.format(bfile=bfile))
     cache = workdir / f"{name}.cache.jsonl"
     if argv[0] == "mine":
         argv += ["--threads", "1", "--cache", str(cache)]
-        if "{bfile}" in CASES[name]:
+        if "{bfile}" in command:
             write_apery_bfile(bfile)
     out = io.StringIO()
     with redirect_stdout(out):
@@ -76,9 +87,8 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     return files
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path):
-    for filename, got in run_case(name, tmp_path).items():
+def check_case(name: str, workdir: Path) -> None:
+    for filename, got in run_case(name, workdir).items():
         want = (GOLDEN / filename).read_bytes()
         if got != want:
             lines = zip(got.splitlines(), want.splitlines())
@@ -88,11 +98,27 @@ def test_golden(name, tmp_path):
                         f"{len(got)} bytes against {len(want)})")
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    check_case(name, tmp_path)
+
+
+@pytest.mark.skipif(not os.environ.get("APERYLIKE_STRETCH"),
+                    reason="stretch golden runs enabled via APERYLIKE_STRETCH=1")
+@pytest.mark.parametrize("name", sorted(STRETCH_CASES))
+def test_golden_stretch(name, tmp_path):
+    check_case(name, tmp_path)
+
+
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [n for n in names if n not in CASES and n not in STRETCH_CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {' '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
+    for case in names:
         with tempfile.TemporaryDirectory() as tmp:
             for filename, data in run_case(case, Path(tmp)).items():
                 (GOLDEN / filename).write_bytes(data)
