@@ -15,8 +15,9 @@ from .finite_field import (Prime, binomial_lucas, factorial_tables, inv_mod,
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
 from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,
-                            TruncationRecord, compute_record, galois_degree,
-                            involution_analysis, involution_constant_case,
+                            TruncationRecord, certify, compute_record,
+                            galois_degree, involution_analysis,
+                            involution_constant_case,
                             predicted_cofactor, predicted_group,
                             rational_kummer_cofactor, verify_kummer_relation)
 from .sequences import (CATALOG, CoefficientTable, LucasReport, SequenceSpec,

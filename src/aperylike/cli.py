@@ -184,9 +184,8 @@ def _cmd_galois(args) -> int:
         raise UsageError(f"--check-theorem needs a family sequence, not {seq.key}")
     rows = []
     status = EXIT_OK
-    for p in _primes_for(args):
-        rec = kummer_galois.compute_record(seq, p)
-        row = {"p": p, "degree": rec.galois.degree, "label": rec.galois.describe()}
+    for rec in pattern_miner.records(seq, _primes_for(args)):
+        row = {"p": rec.p, "degree": rec.galois.degree, "label": rec.galois.describe()}
         if check:
             row["predicted"] = rec.predicted_label
             row["cofactor_match"] = rec.factorization.cofactor == rec.predicted_cofactor

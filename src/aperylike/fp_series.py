@@ -149,24 +149,44 @@ class FpSeries:
     def sqrt_inv(self) -> "FpSeries":
         """g with g^2 * self = 1, normalized by g(0) = 1; needs self(0) = 1.
 
-        Newton iteration g <- g * (3 - f g^2) / 2 doubling precision.
+        Newton iteration g <- g * (3 - f g^2) / 2 doubling precision.  With
+        g right mod x^k, f g^2 = 1 + x^k e, so the step only appends the
+        coefficients k.. of -g e / 2.
         """
         if self.coeffs[0] != 1:
             raise ValueError("inverse square root needs constant term 1 (normalize first)")
         p = self.p
         n = len(self.coeffs)
-        inv2 = inv_mod(2, p)
+        minus_half = inv_mod(p - 2, p)
         g = [1]
-        prec = 1
         f = list(self.coeffs)
-        while prec < n:
-            prec = min(2 * prec, n)
+        while len(g) < n:
+            k, prec = len(g), min(2 * len(g), n)
             fg2 = kernels.series_mul(kernels.series_mul(g, g, prec, p), f[:prec], prec, p)
-            upd = [(-c) % p for c in fg2]
-            upd[0] = (upd[0] + 3) % p
-            g = kernels.series_mul(g, upd, prec, p)
-            g = [c * inv2 % p for c in g]
+            g += [c * minus_half % p for c in kernels.series_mul(g, fg2[k:], prec - k, p)]
         return FpSeries(g, p, _trusted=True)
+
+    def sqrt(self) -> "FpSeries":
+        """s with s^2 = self, normalized by s(0) = 1; needs self(0) = 1.
+
+        With m = ceil(N/2), g = ``sqrt_inv`` to precision m and s0 = self * g
+        is the root mod x^m; one Karp-Markstein step then lifts it to x^N as
+        s0 + g * (self - s0^2) / 2, where self - s0^2 vanishes below x^m and
+        g agrees with 1/s0 there.  That is about half the work of
+        ``sqrt_inv`` at full precision.
+        """
+        if self.coeffs[0] != 1:
+            raise ValueError("square root needs constant term 1 (normalize first)")
+        p = self.p
+        n = len(self.coeffs)
+        m = (n + 1) // 2
+        g = list(self.truncate(m).sqrt_inv().coeffs)
+        s0 = kernels.series_mul(list(self.coeffs[:m]), g, m, p)
+        sq = kernels.series_mul(s0, s0, n, p)
+        err = [(c - x) % p for c, x in zip(self.coeffs[m:], sq[m:])]
+        half = inv_mod(2, p)
+        lift = kernels.series_mul(g, err, n - m, p)
+        return FpSeries(s0 + [c * half % p for c in lift], p, _trusted=True)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])

@@ -2,8 +2,14 @@
 
 For a p-Lucas series f the relation f = A_p * f^p makes f^(p-1) = 1/A_p,
 so F_p(t, f)/F_p(t) is Kummer and its degree is the order of the class of
-A_p in F_p(t)^x modulo (p-1)-th powers.  That order is computed here from
-the squarefree multiplicities and the leading constant alone.
+A_p in F_p(t)^x modulo (p-1)-th powers.  That order depends only on the
+leading constant and on the gcd of the multiplicities of A_p.
+
+``compute_record`` reads both, and the factorization A_p = c * P * B^2, off
+the squarefree decomposition.  ``certify`` proves a guessed cofactor P
+instead: B is a series square root checked by re-expansion, and the
+multiplicity gcd follows from gcd(P, B) = 1 when P != 1, and from witness
+points showing B is no l-th power when P = 1.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from . import kernels
 from .errors import ReconstructionError
 from .families import FAMILIES, get_family
-from .finite_field import Prime, inv_mod, legendre, mult_order
+from .finite_field import Prime, factorize, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
 from .sequences import SequenceSpec, coefficients_mod_p, truncation_poly
@@ -42,15 +48,17 @@ class GaloisResult:
     @classmethod
     def from_parts(cls, a: FpPoly, parts: list[tuple[FpPoly, int]]) -> "GaloisResult":
         """The Kummer class order of a given its squarefree decomposition."""
-        p = a.p
-        if parts:
-            e_gcd = 0
-            for _, e in parts:
-                e_gcd = math.gcd(e_gcd, e)
-            g = math.gcd(p - 1, e_gcd)
-        else:
-            g = p - 1
-        m = math.gcd(g, (p - 1) // mult_order(a.lc(), p))
+        e_gcd = 0
+        for _, e in parts:
+            e_gcd = math.gcd(e_gcd, e)
+        return cls.from_exponents(a.p, a.lc(), e_gcd)
+
+    @classmethod
+    def from_exponents(cls, p: int, lc: int, e_gcd: int) -> "GaloisResult":
+        """The Kummer class order of a polynomial with leading coefficient lc
+        whose multiplicities have gcd e_gcd (0 for a constant, so that
+        gcd(p-1, 0) = p-1 lets the constant alone decide)."""
+        m = math.gcd(p - 1, e_gcd, (p - 1) // mult_order(lc, p))
         return cls(p=p, degree=(p - 1) // m, kummer_exponent=m)
 
     def describe(self) -> str:
@@ -281,6 +289,85 @@ class TruncationRecord:
             raise ValueError(f"degree {degree} is not a positive divisor of p-1={p - 1}")
         gal = GaloisResult(p=p, degree=degree, kummer_exponent=(p - 1) // degree)
         return cls(seq=data["seq"], p=p, trunc=trunc, factorization=fact, galois=gal)
+
+
+# The Legendre pre-filter of ``certify`` reads A at x = 1..FILTER_POINTS, and
+# the witnesses of its P = 1 degree are sought at x = 1..WITNESS_POINTS
+# (points >= p left out).  Neither count can change a result: a candidate
+# that passes the filter is still checked exactly, and a missing witness
+# sends the prime to the decomposition.  The roots lean towards residues at
+# small x: over the 499 P = 1 records of apery below 3000 and domb, az and
+# a005260 below 1500, up to 20 points were needed (domb at 193, apery at
+# 1801), and a failed search costs far less than the decomposition.
+FILTER_POINTS = 4
+WITNESS_POINTS = 64
+
+
+def certify(a: FpPoly, cofactor: FpPoly,
+            a_values: list[int] | None = None) -> tuple[SquareCofactor, GaloisResult] | None:
+    """The factorization and Kummer degree of A proved from a guessed cofactor
+    P, without a squarefree decomposition; None when the guess is wrong or
+    cannot be proved this way.
+
+    If A = c*P*B^2 with P monic squarefree and B monic, then P is the product
+    of the factors of odd multiplicity of A and B is fixed, so a candidate
+    that passes the exact check is the one ``SquareCofactor.from_parts``
+    returns.  With d = (deg A - deg P)/2 a positive integer and A(0), P(0)
+    nonzero, P must divide A exactly, and B is the monic normalization of
+    the series square root of Q/Q(0), Q = A/P, to d+1 terms; c*B^2 == Q,
+    that is c*P*B^2 == A, is checked exactly.
+    The multiplicity gcd that ``GaloisResult.from_parts`` needs is then
+    1 when P != 1 is squarefree and prime to B.  When P = 1 it is 2*e with e
+    the multiplicity gcd of B; a point x with B(x) != 0 and
+    B(x)^((p-1)/l) != 1 shows B is no l-th power, so l does not divide e,
+    and such witnesses for every prime l | (p-1)/2 give gcd(p-1, 2e) = 2.
+
+    Before any division or series work a point x with A(x)*c*P(x) a
+    non-residue rejects the candidate, since A(x)/(c*P(x)) = B(x)^2.
+    ``a_values`` holds A at the first filter points; certify appends the
+    ones it evaluates, so a caller that passes one list for every candidate
+    at a prime evaluates A once.
+    """
+    p = a.p
+    if not a or a[0] == 0 or not cofactor or cofactor[0] == 0:
+        return None
+    P = cofactor.monic()
+    twice_d = a.degree - P.degree
+    if twice_d <= 0 or twice_d % 2:
+        return None
+    c = a.lc()
+    values = [] if a_values is None else a_values
+    for x in range(1, min(FILTER_POINTS, p - 1) + 1):
+        if len(values) < x:
+            values.append(a.eval(x))
+        if legendre(values[x - 1] * c * P.eval(x), p) < 0:
+            return None
+    q = a
+    if P.degree > 0:
+        if gcd(P, P.derivative()).degree > 0:
+            return None
+        q, r = a.divrem(P)
+        if r:
+            return None
+    h = FpSeries.from_poly(q.scale(inv_mod(q[0], p)), twice_d // 2 + 1)
+    root = FpPoly(h.sqrt().coeffs, p).monic()
+    if (root * root).scale(c) != q:
+        return None
+    fact = SquareCofactor(c, P, root)
+    if P.degree > 0:
+        if gcd(P, root).degree > 0:
+            return None
+        return fact, GaloisResult.from_exponents(p, c, 1)
+    missing = list(factorize((p - 1) // 2))
+    for x in range(1, min(WITNESS_POINTS, p - 1) + 1):
+        if not missing:
+            break
+        bx = root.eval(x)
+        if bx:
+            missing = [l for l in missing if pow(bx, (p - 1) // l, p) == 1]
+    if missing:
+        return None
+    return fact, GaloisResult.from_exponents(p, c, 2)
 
 
 def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:

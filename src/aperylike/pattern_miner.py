@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass, field
 
 from .finite_field import factorize, is_prime, legendre
-from .fp_poly import FpPoly
-from .kummer_galois import TruncationRecord, compute_record
-from .sequences import SequenceSpec
+from .fp_poly import FpPoly, SquareCofactor
+from .kummer_galois import GaloisResult, TruncationRecord, certify, compute_record
+from .sequences import SequenceSpec, truncation_poly
 
 log = logging.getLogger(__name__)
 
@@ -384,6 +384,52 @@ def infer_conditions(
                          unmatched=tuple(unmatched))
 
 
+# -- records ---------------------------------------------------------------------
+
+
+def records(seq: SequenceSpec, primes, learned: list[LiftedCofactor] | None = None
+            ) -> list[TruncationRecord]:
+    """The record of each prime, in the order given: the one ``compute_record``
+    makes, but proved from a guessed cofactor wherever that works.
+
+    At each prime the truncation is certified (``kummer_galois.certify``)
+    with the cofactor P = 1 first and then with the learned lifts, newest
+    first, each reduced mod p and made monic.  A prime that no candidate
+    proves falls back to the squarefree decomposition, exactly as in
+    ``compute_record`` but of the truncation already in hand: for
+    ``gen:r,s`` a second truncation would cost as much as the decomposition.
+
+    A record's cofactor lift is learned when it is reliable, of lower degree
+    than the record's root, and new.  The lifts come from this sweep alone,
+    never from a prediction, so ``--check-theorem`` still compares two
+    independent computations.  ``learned`` carries them from call to call (a
+    pool worker keeps one list for all its tasks).  A certified record is
+    unique, so the candidates change only the time a record takes, never
+    the record.
+    """
+    learned = [] if learned is None else learned
+    out = []
+    for p in primes:
+        a = truncation_poly(seq, p)
+        a_values: list[int] = []  # A at the filter points, shared by the candidates
+        candidates = [FpPoly.one(p)] + [lift.reduce_mod(p).monic() for lift in reversed(learned)]
+        found = None
+        for cand in dict.fromkeys(candidates):  # each distinct candidate once, in order
+            found = certify(a, cand, a_values)
+            if found:
+                break
+        if not found:
+            parts = a.squarefree_decomposition()
+            found = SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)
+        fact = found[0]
+        if fact.cofactor.degree < fact.root.degree:
+            lift = lift_cofactor(fact.cofactor, p)
+            if lift.reliable and lift not in learned:
+                learned.append(lift)
+        out.append(TruncationRecord(seq.key, p, a, *found))
+    return out
+
+
 # -- sweeping + cache --------------------------------------------------------------
 
 
@@ -421,17 +467,20 @@ def append_cache(path, records: list[TruncationRecord]) -> None:
 
 
 # The sequence of a pool worker, set once per worker process by the pool's
-# initializer, so that the mapped tasks carry only primes.
+# initializer, so that the mapped tasks carry only primes, and the cofactor
+# lifts the worker has learned, which ``records`` carries across its tasks.
 _worker_seq: SequenceSpec | None = None
+_worker_learned: list[LiftedCofactor] = []
 
 
 def _init_worker(seq: SequenceSpec) -> None:
-    global _worker_seq
+    global _worker_seq, _worker_learned
     _worker_seq = seq
+    _worker_learned = []
 
 
 def _worker_record(p: int) -> TruncationRecord:
-    return compute_record(_worker_seq, p)
+    return records(_worker_seq, [p], _worker_learned)[0]
 
 
 def sweep(
@@ -443,8 +492,12 @@ def sweep(
 ) -> list[TruncationRecord]:
     """One TruncationRecord per prime in [lo, hi], cache-backed.
 
-    External sequences are skipped (with a warning) at primes their table
-    cannot cover.  Results are sorted by p and independent of thread count.
+    Fresh records come from ``records``, serially or in the process pool,
+    whose map hands each worker contiguous chunks of primes.  External
+    sequences are skipped (with a warning) at primes their table cannot
+    cover.  Results are sorted by p and independent of thread count.  A
+    cache hit found stale by the spot check is recomputed and its record
+    appended to the cache, where the last line for a prime wins.
     """
     ps = primes_in_range(lo, hi)
     cached = read_cache(cache_path, seq.key)
@@ -466,12 +519,13 @@ def sweep(
             fresh = list(pool.map(_worker_record, todo,
                                   chunksize=max(1, len(todo) // (4 * threads))))
     else:
-        fresh = [compute_record(seq, p) for p in todo]
+        fresh = records(seq, todo)
     append_cache(cache_path, fresh)
 
     # spot-check ~1% of cache hits against fresh computation (seeded, so the
     # sample and hence the output are reproducible)
     in_range = [p for p in sorted(cached) if lo <= p <= hi]
+    corrected = []
     if in_range:
         rng = random.Random(f"{seq.key}:{lo}:{hi}")
         for p in rng.sample(in_range, max(1, len(in_range) // 100)):
@@ -479,6 +533,8 @@ def sweep(
             if cached[p] != rec:
                 log.warning("%s: cached record at p=%d is stale; recomputed", seq.key, p)
                 cached[p] = rec
+                corrected.append(rec)
+    append_cache(cache_path, corrected)
 
     merged = {rec.p: rec for rec in fresh}
     merged.update(cached)

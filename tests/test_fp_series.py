@@ -135,6 +135,26 @@ class TestSqrtInv:
             assert g * g * f == FpSeries.one(p, n)
 
 
+class TestSqrt:
+    def test_central_binomials(self):
+        # (1-4t)^(1/2) = 1 - 2 sum C(2n-2,n-1)/n t^n = 1 - 2t - 2t^2 - 4t^3 - ...
+        assert S([1, -4, 0, 0, 0], 101).sqrt().coeffs == (1, 99, 99, 97, 91)
+
+    def test_requires_unit_constant(self):
+        with pytest.raises(ValueError):
+            S([2, 1], 5).sqrt()
+
+    def test_square_identity_random(self, rng):
+        # every precision from 1, so both halves of the Karp-Markstein step
+        # are exercised at odd and even N
+        for n in range(1, 60):
+            p = rng.choice([5, 13, 101, 1999])
+            f = S([1] + [rng.randrange(p) for _ in range(n - 1)], p)
+            s = f.sqrt()
+            assert s[0] == 1 and s * s == f
+            assert s == f * f.sqrt_inv()
+
+
 class TestSubstitutePower:
     def test_frobenius_matches_pth_power(self, rng):
         p = 7

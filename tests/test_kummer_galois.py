@@ -1,10 +1,12 @@
 import pytest
 
+from aperylike import kummer_galois
 from aperylike.errors import ReconstructionError
 from aperylike.finite_field import mult_order
-from aperylike.fp_poly import FpPoly
+from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.fp_series import FpSeries, expand_rational
 from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
+                                     GaloisResult, certify,
                                      compute_record, galois_degree,
                                      involution_analysis,
                                      involution_constant_case,
@@ -12,7 +14,7 @@ from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
                                      rational_kummer_cofactor,
                                      verify_kummer_relation)
 from aperylike.sequences import CATALOG, coefficients_mod_p, load_external
-from tests.conftest import primes_between, random_poly
+from tests.conftest import primes_between, random_poly, random_squarefree
 
 
 class TestKummerRelation:
@@ -96,6 +98,80 @@ class TestGaloisDegree:
         for p in primes_between(5, 60):
             res = galois_degree(compute_record(CATALOG["apery"], p).trunc)
             assert res.degree * res.kummer_exponent == p - 1
+
+
+def decomposed(a):
+    """The factorization and degree from the squarefree decomposition: the
+    oracle ``certify`` must agree with whenever it returns."""
+    parts = a.squarefree_decomposition()
+    return SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)
+
+
+class TestCertify:
+    def test_true_cofactor_certified(self):
+        for p in (13, 101):
+            b = FpPoly([3, 1, 0, 2, 1], p)
+            for cofactor in (FpPoly.one(p), FpPoly([2, 5, 1], p)):
+                a = (cofactor * b * b).scale(7)
+                assert certify(a, cofactor) == decomposed(a)
+
+    def test_fourth_power_needs_the_witness_step(self):
+        # A = c * C^4: P = 1 and B = C^2, a square, so no point witnesses
+        # l = 2 | (p-1)/2 and the degree comes from the decomposition
+        p, c = 13, 3
+        root = FpPoly([2, 1, 1], p)
+        a = (root ** 4).scale(c)
+        fact, gal = decomposed(a)
+        assert fact.cofactor == 1 and fact.root == root ** 2
+        assert gal.kummer_exponent == 4  # P = 1 with e = 1 would give 2
+        assert certify(a, FpPoly.one(p)) is None
+
+    def test_odd_power_needs_gcd_of_cofactor_and_root(self):
+        # the gen:1,1 shape A = g^((p-1)/2) with (p-1)/2 odd: P = g, B = g^2
+        p = 11
+        g = FpPoly([3, 0, 1], p)
+        a = g ** ((p - 1) // 2)
+        fact, gal = decomposed(a)
+        assert fact.cofactor == g
+        assert gal.degree == 2  # the exact check alone would claim p - 1
+        assert certify(a, g) is None
+
+    def test_zero_constant_term_rejected(self):
+        p = 13
+        a = FpPoly([0, 1], p) * FpPoly([1, 1], p) ** 2
+        assert all(certify(a, cand) is None
+                   for cand in (FpPoly.one(p), FpPoly([0, 1], p), decomposed(a)[0].cofactor))
+
+    def test_constant_rejected(self):
+        p = 13
+        assert certify(FpPoly([5], p), FpPoly.one(p)) is None
+
+    def test_constant_root_rejected(self):
+        p = 13
+        cofactor = FpPoly([1, 0, 1], p) * FpPoly([3, 1], p)
+        a = cofactor.scale(2)
+        assert decomposed(a)[0] == SquareCofactor(2, cofactor, FpPoly.one(p))
+        assert certify(a, cofactor) is None
+
+    @pytest.mark.parametrize("filter_points", [kummer_galois.FILTER_POINTS, 0],
+                             ids=["filter", "no-filter"])
+    def test_never_contradicts_the_decomposition(self, rng, monkeypatch, filter_points):
+        # with the pre-filter off, only the exact checks reject a wrong guess
+        monkeypatch.setattr(kummer_galois, "FILTER_POINTS", filter_points)
+        certified = 0
+        for _ in range(300):
+            p = rng.choice((5, 13, 17, 29, 31))
+            cofactor = random_squarefree(rng, p, 3)
+            root = random_poly(rng, p, 4, nonzero=True)
+            a = (cofactor * root * root).scale(rng.randrange(1, p))
+            for cand in (cofactor, FpPoly.one(p), random_squarefree(rng, p, 3),
+                         random_poly(rng, p, 3, nonzero=True)):
+                got = certify(a, cand)
+                if got is not None:
+                    assert got == decomposed(a)
+                    assert got[0].cofactor == cand.monic()
+                    certified += 1
+        assert certified > 100
 
 
 class TestPredictions:

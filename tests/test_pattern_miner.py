@@ -5,17 +5,18 @@ import pickle
 
 import pytest
 
-from aperylike import pattern_miner
+from aperylike import cli, kummer_galois, pattern_miner
 from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import GaloisResult, TruncationRecord, compute_record
 from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
-                                     LegendreProfile, classifier_from_json,
-                                     cluster_records, infer_conditions,
-                                     lift_cofactor, mine, poly_str,
-                                     primes_in_range, read_cache,
-                                     report_table, sweep)
+                                     LegendreProfile, LiftedCofactor,
+                                     classifier_from_json, cluster_records,
+                                     infer_conditions, lift_cofactor, mine,
+                                     poly_str, primes_in_range, read_cache,
+                                     records, report_table, sweep)
 from aperylike.sequences import CATALOG, get_sequence, load_external
 from tests.conftest import exact_terms
+from tests.test_golden import write_apery_bfile
 
 
 class TestPrimesInRange:
@@ -293,6 +294,87 @@ class TestSweepCache:
         assert out[sampled] == fresh[sampled]
         assert all(out[p]["degree"] == 1 for p in out if p != sampled)
         assert f"cached record at p={sampled} is stale" in caplog.text
+
+    def test_stale_hit_appended(self, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
+        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
+        for data in tampered:
+            data["degree"] = 1  # the true degree is (p-1)/2 or p-1
+        cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            sweep(CATALOG["apery"], 5, 60, cache_path=cache)
+        lines = cache.read_text().splitlines()
+        assert len(lines) == len(tampered) + 1
+        corrected = json.loads(lines[-1])
+        sampled = corrected["p"]
+        assert corrected == fresh[sampled]
+        assert f"cached record at p={sampled} is stale" in caplog.text
+        # the last line for a prime wins: the second sweep reads the
+        # corrected record, samples the same prime and finds it sound
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            out = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
+        assert out[sampled] == fresh[sampled]
+        assert "is stale" not in caplog.text
+        assert len(cache.read_text().splitlines()) == len(lines)
+
+
+ORACLE_KEYS = [*CATALOG, "gen:2,2", "bfile"]
+# Learned lifts that are wrong at almost every prime below (1 + 5t + t^2 is
+# the Apery cofactor only at p = 13): tried at each FULL-class prime after
+# the sweep's own lifts, each must be rejected or proved exactly.
+ADVERSARIAL_LIFTS = [
+    LiftedCofactor((1, 5, 1), "constant", True),  # a wrong quadratic
+    LiftedCofactor((1, 3), "constant", True),     # odd degree: the wrong parity
+    LiftedCofactor((1, 2, 1), "constant", True),  # (1 + t)^2, a repeated factor
+]
+
+
+@pytest.fixture(scope="module")
+def apery_bfile(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bfile") / "apery.b"
+    write_apery_bfile(path)
+    return load_external(path)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("key", ORACLE_KEYS)
+    def test_match_compute_record(self, key, apery_bfile, monkeypatch):
+        seq = apery_bfile if key == "bfile" else get_sequence(key)
+        ps = primes_in_range(5, 300)
+        want = [compute_record(seq, p) for p in ps]
+        assert records(seq, ps) == want
+        assert records(seq, ps, list(ADVERSARIAL_LIFTS)) == want
+        # with the pre-filter off, only the exact checks reject a guess
+        monkeypatch.setattr(kummer_galois, "FILTER_POINTS", 0)
+        assert records(seq, ps, list(ADVERSARIAL_LIFTS)) == want
+
+    def test_learns_reliable_lifts_of_low_degree(self):
+        learned = []
+        records(CATALOG["apery"], primes_in_range(71, 120), learned)
+        assert learned[0] == LiftedCofactor((1, -34, 1), "constant", True)
+        learned = []
+        records(CATALOG["franel"], primes_in_range(5, 120), learned)
+        assert learned == []  # the Franel truncations are squarefree: B = 1
+
+    def test_one_decomposition_after_the_first_exact_lift(self, monkeypatch, capsys):
+        # 71 is the first FULL-class prime where the lift of 1 - 34t + t^2 is
+        # exact; every later prime is certified from P = 1 or that lift
+        calls = []
+        original = FpPoly.squarefree_decomposition
+
+        def counting(self):
+            calls.append(self.p)
+            return original(self)
+
+        monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
+        records(CATALOG["apery"], primes_in_range(71, 350))
+        assert len(calls) <= 1
+        calls.clear()
+        assert cli.main(["galois", "--seq", "apery", "--primes", "71..350"]) == 0
+        assert len(calls) <= 1
+        assert len(capsys.readouterr().out.splitlines()) == len(primes_in_range(71, 350))
 
 
 class TestDeterminism:
