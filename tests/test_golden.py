@@ -49,6 +49,7 @@ CASES = {
 # Longer runs, compared only when APERYLIKE_STRETCH=1.
 STRETCH_CASES = {
     "galois-apery-2503": "galois --seq apery --primes 5..2503 --check-theorem",
+    "verify-lucas-apery-199": "verify lucas --seq apery --prime 199",
 }
 
 BFILE_TERMS = 2100
