@@ -212,23 +212,21 @@ def expand_rational(u: FpPoly, v: FpPoly, precision: int) -> FpSeries:
     return FpSeries(out, p, _trusted=True)
 
 
-def hypergeometric_2f1(precision: int, p: int,
-                       a=(1, 3), b=(2, 3), c=(1, 1)) -> FpSeries:
-    """The Gauss series sum_k (a)_k (b)_k / ((c)_k k!) y^k with rational
-    parameters realized as residues mod p.
+def hypergeometric_2f1(precision: int, p: int) -> FpSeries:
+    """The Gauss series sum_k (a)_k (b)_k / ((c)_k k!) y^k of the fixed
+    weights (a, b; c) = (1/3, 2/3; 1), the series of the Franel link, with
+    the weights realized as residues mod p.
 
-    Defaults give the weight-(1/3, 2/3; 1) series used by the Franel link.
     Coefficient k needs k! invertible, so at most p coefficients (k < p)
     can be produced; that maximum is exactly the order-p truncation.
     """
     if precision > p:
         raise ValueError(f"2F1 precision must be <= p (got N={precision}, p={p})")
-    aa = a[0] * inv_mod(a[1], p) % p
-    bb = b[0] * inv_mod(b[1], p) % p
-    cc = c[0] * inv_mod(c[1], p) % p
+    aa = inv_mod(3, p)
+    bb = 2 * aa % p
     out = [1] + [0] * (precision - 1)
     for k in range(1, precision):
         num = (aa + k - 1) * (bb + k - 1) % p
-        den = (cc + k - 1) * k % p
+        den = k * k % p  # (c + k - 1) * k with c = 1
         out[k] = out[k - 1] * num % p * inv_mod(den, p) % p
     return FpSeries(out, p, _trusted=True)

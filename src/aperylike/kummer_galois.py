@@ -154,24 +154,29 @@ class KummerReport:
         return self.ok
 
 
-def verify_kummer_relation(seq: SequenceSpec, p: int, precision: int | None = None) -> KummerReport:
-    """Check f = A_p * f(t^p) coefficientwise to the given precision.
+def kummer_mismatch(cs, p: int) -> int | None:
+    """The first index i with cs[i] != (A * f(t^p))[i], or None, for the
+    series f with coefficients cs and A its first p coefficients.
 
-    Frobenius turns f^p into f(t^p) exactly in characteristic p, so the
-    check is pure convolution.  Default precision is 3p, covering indices
-    whose base-p expansions have two digits.
+    Frobenius turns f^p into f(t^p) exactly in characteristic p, so
+    f = A * f^p is one convolution.
     """
-    n = 3 * p if precision is None else precision
-    cs = coefficients_mod_p(seq, n, p)
-    a_p = cs[:p]
+    n = len(cs)
     frob = [0] * n
     for i in range(0, n, p):
         frob[i] = cs[i // p]
-    rhs = kernels.series_mul(a_p, frob, n, p)
-    for i in range(n):
-        if cs[i] != rhs[i]:
-            return KummerReport(seq.key, p, False, i)
-    return KummerReport(seq.key, p, True)
+    rhs = kernels.series_mul(list(cs[:p]), frob, n, p)
+    return next((i for i in range(n) if cs[i] != rhs[i]), None)
+
+
+def verify_kummer_relation(seq: SequenceSpec, p: int, precision: int | None = None) -> KummerReport:
+    """Check f = A_p * f(t^p) coefficientwise to the given precision, by
+    ``kummer_mismatch``.  Default precision is 3p, covering indices whose
+    base-p expansions have two digits.
+    """
+    n = 3 * p if precision is None else precision
+    i = kummer_mismatch(coefficients_mod_p(seq, n, p), p)
+    return KummerReport(seq.key, p, i is None, i)
 
 
 # -- rational reconstruction ---------------------------------------------------------

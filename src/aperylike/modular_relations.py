@@ -10,12 +10,12 @@ boolean verifiers) rather than being an interesting outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import IdentityViolationError
 from .families import get_family
 from .fp_poly import FpPoly
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
+from .kummer_galois import kummer_mismatch
 from .sequences import CATALOG, coefficients_mod_p, truncation_poly
 
 
@@ -79,57 +79,50 @@ def _link_series(p: int, precision: int) -> tuple[FpSeries, FpSeries]:
     return y, lam
 
 
-class GaussLink(NamedTuple):
-    """The series both checks of the Gauss link read: h, the Gauss series g
-    (at most p coefficients), and y(x), lambda(x) of ``_link_series``."""
-    h: FpSeries
-    g: FpSeries
-    y: FpSeries
-    lam: FpSeries
+def gauss_link(p: int, n: int) -> tuple[FpSeries, FpSeries]:
+    """The pair (h, s) both checks of the Gauss link read, to n coefficients:
+    h the Franel series and s = lambda(x) * G(y(x)), with G the Gauss series
+    to min(n, p) coefficients (zero-padded to n) and y, lambda of
+    ``_link_series``.  Each is built once; a check at a lower precision
+    reads their prefixes."""
+    y, lam = _link_series(p, n)
+    big_g = FpSeries.from_poly(FpPoly(hypergeometric_2f1(min(n, p), p).coeffs, p), n)
+    return franel_series(p, n), lam * big_g.compose(y)
 
 
-def gauss_link(p: int, precision: int) -> GaussLink:
-    """The series of ``GaussLink``, each built once to the given precision
-    (g to at most p); a check at a lower precision reads their prefixes."""
-    y, lam = _link_series(p, precision)
-    return GaussLink(franel_series(p, precision), hypergeometric_2f1(min(precision, p), p),
-                     y, lam)
-
-
-def verify_h_2f1_relation(p: int, precision: int = 100, link: GaussLink | None = None) -> bool:
+def verify_h_2f1_relation(p: int, precision: int = 100,
+                          link: tuple[FpSeries, FpSeries] | None = None) -> bool:
     """h = lambda(x) * g(y(x)) mod x^N for the weight-(1/3,2/3;1) Gauss series g.
 
     The Gauss coefficients need k! invertible, so the working precision is
-    capped at p - 1.  ``link`` may hold the series at a higher precision.
+    capped at p - 1.  The first N coefficients of s in ``gauss_link`` are
+    lambda * g(y) for the first N coefficients g of G, since
+    G_k y^k = O(x^(2k)).  ``link`` may hold (h, s) at a higher precision.
     """
     n = min(precision, p - 1)
-    h, g, y, lam = (s.truncate(n) for s in (link or gauss_link(p, n)))
-    lhs = lam * g.compose(y)
-    return lhs == h
+    h, s = link or gauss_link(p, n)
+    return h.truncate(n) == s.truncate(n)
 
 
 def verify_H_power_identity(p: int, precision: int | None = None,
-                            link: GaussLink | None = None) -> bool:
-    """Two consequences of the Lucas structure of h, checked to order N >= p:
+                            link: tuple[FpSeries, FpSeries] | None = None) -> bool:
+    """Two consequences of the Lucas structure of h, checked to order N >= p,
+    with H the first p coefficients of h:
 
-    * H * h^(p-1) = 1, with h^(p-1) computed as h(x^p)/h (Frobenius);
+    * H * h^(p-1) = 1, checked as h = H * h(x^p) (Frobenius: h^p = h(x^p))
+      by ``kummer_galois.kummer_mismatch``;
     * H = (1-2x)^(p-1) * G(y(x)) with G the order-p truncation of the Gauss
-      series (a polynomial in y, composed as a series in x).
+      series, checked as H = (1-2x^p) * s for s of ``gauss_link``, since
+      (1-2x)^(p-1) = (1-2x)^p * lambda and (1-2x)^p = 1-2x^p over F_p.
 
-    ``link`` may hold the series at a precision of N or more.
+    ``link`` may hold (h, s) at a precision of N or more.
     """
     n = max(p, precision or 0)
-    link = link or gauss_link(p, n)
-    h = link.h.truncate(n)
-    h_pow = h.substitute_power(p) * h.inv()
-    big_h = FpSeries.from_poly(franel_truncation(p), n)
-    if big_h * h_pow != FpSeries.one(p, n):
+    h, s = (f.truncate(n).coeffs for f in (link or gauss_link(p, n)))
+    if kummer_mismatch(h, p) is not None:
         return False
-    g_trunc = FpSeries.from_poly(FpPoly(link.g.truncate(p).coeffs, p), n)
-    y = link.y.truncate(n)
-    lam_pow = FpSeries.from_poly(FpPoly((1, -2), p) ** (p - 1), n)
-    rhs = lam_pow * g_trunc.compose(y)
-    return big_h == rhs
+    rhs = tuple((c - 2 * s[i - p]) % p if i >= p else c for i, c in enumerate(s))
+    return rhs == h[:p] + (0,) * (n - p)
 
 
 @dataclass(frozen=True)

@@ -400,12 +400,13 @@ def records(seq: SequenceSpec, primes, learned: list[LiftedCofactor] | None = No
     ``gen:r,s`` a second truncation would cost as much as the decomposition.
 
     A record's cofactor lift is learned when it is reliable, of lower degree
-    than the record's root, and new.  The lifts come from this sweep alone,
-    never from a prediction, so ``--check-theorem`` still compares two
-    independent computations.  ``learned`` carries them from call to call (a
-    pool worker keeps one list for all its tasks).  A certified record is
-    unique, so the candidates change only the time a record takes, never
-    the record.
+    than the record's root, and new (``_learn``).  The lifts come from
+    records of the sequence alone, never from a prediction, so
+    ``--check-theorem`` still compares two independent computations.
+    ``learned`` carries them from call to call (a pool worker keeps one list
+    for all its tasks, and ``sweep`` seeds it with its cache hits).  A
+    certified record is unique, so the candidates change only the time a
+    record takes, never the record.
     """
     learned = [] if learned is None else learned
     out = []
@@ -421,13 +422,18 @@ def records(seq: SequenceSpec, primes, learned: list[LiftedCofactor] | None = No
         if not found:
             parts = a.squarefree_decomposition()
             found = SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)
-        fact = found[0]
-        if fact.cofactor.degree < fact.root.degree:
-            lift = lift_cofactor(fact.cofactor, p)
-            if lift.reliable and lift not in learned:
-                learned.append(lift)
+        _learn(learned, found[0], p)
         out.append(TruncationRecord(seq.key, p, a, *found))
     return out
+
+
+def _learn(learned: list[LiftedCofactor], fact: SquareCofactor, p: int) -> None:
+    """Append the lift of the cofactor of A = c*P*B^2 at p to ``learned``
+    when it is reliable, deg P < deg B and the lift is new."""
+    if fact.cofactor.degree < fact.root.degree:
+        lift = lift_cofactor(fact.cofactor, p)
+        if lift.reliable and lift not in learned:
+            learned.append(lift)
 
 
 # -- sweeping + cache --------------------------------------------------------------
@@ -468,15 +474,16 @@ def append_cache(path, records: list[TruncationRecord]) -> None:
 
 # The sequence of a pool worker, set once per worker process by the pool's
 # initializer, so that the mapped tasks carry only primes, and the cofactor
-# lifts the worker has learned, which ``records`` carries across its tasks.
+# lifts the worker has learned, which ``records`` carries across its tasks
+# (seeded with the lifts of the sweep's cache hits).
 _worker_seq: SequenceSpec | None = None
 _worker_learned: list[LiftedCofactor] = []
 
 
-def _init_worker(seq: SequenceSpec) -> None:
+def _init_worker(seq: SequenceSpec, *learned: LiftedCofactor) -> None:
     global _worker_seq, _worker_learned
     _worker_seq = seq
-    _worker_learned = []
+    _worker_learned = list(learned)
 
 
 def _worker_record(p: int) -> TruncationRecord:
@@ -495,7 +502,9 @@ def sweep(
     Fresh records come from ``records``, serially or in the process pool,
     whose map hands each worker contiguous chunks of primes.  External
     sequences are skipped (with a warning) at primes their table cannot
-    cover.  Results are sorted by p and independent of thread count.  A
+    cover.  ``records`` starts with the lifts the cached records of the
+    sequence teach, in ascending p, so a resumed sweep need not relearn
+    them.  Results are sorted by p and independent of thread count.  A
     cache hit found stale by the spot check is recomputed and its record
     appended to the cache, where the last line for a prime wins.
     """
@@ -509,17 +518,20 @@ def sweep(
             log.warning("%s: table too short for p=%d; prime skipped", seq.key, p)
             continue
         todo.append(p)
+    learned: list[LiftedCofactor] = []
+    for p in sorted(cached):
+        _learn(learned, cached[p].factorization, p)
 
     if threads > 1 and len(todo) > 1:
         # imported here, so that serial runs do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
-                                 initargs=(seq,)) as pool:
+                                 initargs=(seq, *learned)) as pool:
             fresh = list(pool.map(_worker_record, todo,
                                   chunksize=max(1, len(todo) // (4 * threads))))
     else:
-        fresh = records(seq, todo)
+        fresh = records(seq, todo, learned)
     append_cache(cache_path, fresh)
 
     # spot-check ~1% of cache hits against fresh computation (seeded, so the

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aperylike import cli, modular_relations
+from aperylike import cli, kernels, modular_relations
 from aperylike.cli import main
 from tests.conftest import exact_terms
 
@@ -193,6 +193,19 @@ class TestVerify:
         assert code == 0 and out.count("PASS") == 4
         assert sorted(builds) == sorted(["_link_series", "hypergeometric_2f1",
                                          "franel_series"] * 4)
+
+    def test_hypergeometric_one_composition_no_inverse(self, capsys, monkeypatch):
+        # per prime: one composition, for s of the link, and no series inverse
+        calls = []
+        for name in ("series_compose", "series_inv"):
+            def counted(*args, _fn=getattr(kernels, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        code, out, _ = run(capsys, "verify", "hypergeometric", "--primes", "5..13")
+        assert code == 0 and out.count("PASS") == 4
+        assert calls.count("series_compose") == 4
+        assert calls.count("series_inv") == 0
 
     def test_format_is_rejected(self):
         # verify prints text lines only, so it takes no --format

@@ -2,7 +2,8 @@ import pytest
 
 from aperylike.fp_poly import FpPoly
 from aperylike.fp_series import FpSeries
-from aperylike.modular_relations import (franel_series, franel_truncation,
+from aperylike.modular_relations import (_link_series, franel_series,
+                                         franel_truncation, gauss_link,
                                          verify_H_power_identity,
                                          verify_endpoint_constant,
                                          verify_h_2f1_relation, verify_ode,
@@ -94,6 +95,34 @@ class TestHPower:
     def test_examples(self):
         assert verify_H_power_identity(5, 25)
         assert verify_H_power_identity(11, 30)
+
+    def test_link_checks_see_every_coefficient(self):
+        # at p = 11, n = 40 the power identity reads indices >= p, where the
+        # factor 1 - 2x^p acts; the 2F1 check reads indices below p - 1
+        p, n = 11, 40
+        h, s = gauss_link(p, n)
+        assert verify_h_2f1_relation(p, n, (h, s)) and verify_H_power_identity(p, n, (h, s))
+        for i in range(n):
+            for link in ((bump(h, i), s), (h, bump(s, i))):
+                assert verify_h_2f1_relation(p, n, link) == (i >= p - 1)
+                assert not verify_H_power_identity(p, n, link)
+
+    @pytest.mark.parametrize("p", primes_between(5, 97))
+    def test_frobenius_clears_the_prefactor(self, p):
+        # (1-2x)^(p-1) = (1-2x^p) * lambda, the step from the Gauss link's
+        # prefactor to s = lambda * G(y)
+        one_minus_2xp = FpPoly((1,) + (0,) * (p - 1) + (-2,), p)
+        for n in (p, 3 * p):
+            lam = _link_series(p, n)[1]
+            want = FpSeries.from_poly(FpPoly((1, -2), p) ** (p - 1), n)
+            assert want == FpSeries.from_poly(one_minus_2xp, n) * lam
+
+
+def bump(f: FpSeries, i: int) -> FpSeries:
+    """f with 1 added to its coefficient of x^i."""
+    cs = list(f.coeffs)
+    cs[i] += 1
+    return FpSeries(cs, f.p)
 
     def test_perturbed_H_fails(self):
         p, n = 11, 30

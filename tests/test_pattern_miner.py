@@ -295,6 +295,24 @@ class TestSweepCache:
         assert all(out[p]["degree"] == 1 for p in out if p != sampled)
         assert f"cached record at p={sampled} is stale" in caplog.text
 
+    def test_resumed_sweep_starts_with_cached_lifts(self, tmp_path, monkeypatch):
+        # the cached records above 400 teach the lift of 1 - 34t + t^2, so
+        # the primes 300..399 need no decomposition; the one made is the
+        # spot check's
+        cache = tmp_path / "cache.jsonl"
+        sweep(CATALOG["apery"], 400, 499, cache_path=cache)
+        calls = []
+        original = FpPoly.squarefree_decomposition
+
+        def counting(self):
+            calls.append(self.p)
+            return original(self)
+
+        monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
+        out = sweep(CATALOG["apery"], 300, 499, cache_path=cache)
+        assert [r.p for r in out] == primes_in_range(300, 499)
+        assert len(calls) == 1 and calls[0] >= 400
+
     def test_stale_hit_appended(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
         fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
