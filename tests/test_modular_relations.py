@@ -91,6 +91,13 @@ class TestHypergeometricLink:
         assert wrong_lam * g.compose(y) != franel_series(p, n)
 
 
+def bump(f: FpSeries, i: int) -> FpSeries:
+    """f with 1 added to its coefficient of x^i."""
+    cs = list(f.coeffs)
+    cs[i] += 1
+    return FpSeries(cs, f.p)
+
+
 class TestHPower:
     def test_examples(self):
         assert verify_H_power_identity(5, 25)
@@ -116,13 +123,6 @@ class TestHPower:
             lam = _link_series(p, n)[1]
             want = FpSeries.from_poly(FpPoly((1, -2), p) ** (p - 1), n)
             assert want == FpSeries.from_poly(one_minus_2xp, n) * lam
-
-
-def bump(f: FpSeries, i: int) -> FpSeries:
-    """f with 1 added to its coefficient of x^i."""
-    cs = list(f.coeffs)
-    cs[i] += 1
-    return FpSeries(cs, f.p)
 
     def test_perturbed_H_fails(self):
         p, n = 11, 30
