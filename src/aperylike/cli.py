@@ -8,8 +8,6 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
 import time
@@ -33,6 +31,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
+
+
+def _order(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,10 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seq", help="sequence or family name where applicable")
     sp.add_argument("--prime", type=int)
     sp.add_argument("--primes", type=_parse_range, metavar="LO..HI")
-    sp.add_argument("--order", type=int, default=None,
-                    help="series precision for series-based checks "
-                         "(default 100, or 3p for the kummer check; "
-                         "the 2F1 link check caps it at p-1)")
+    sp.add_argument("--order", type=_order, default=None,
+                    help="series precision for series-based checks, at least 1 "
+                         "(default 100, or 3p for the kummer check, which needs "
+                         "more than p; the 2F1 link check caps it at p-1)")
 
     sp = sub.add_parser("mine", help="sweep primes, cluster cofactors, infer classifiers")
     add_common(sp, prime=False)
@@ -110,6 +118,12 @@ def _emit(line: str = ""):
     sys.stdout.write(line + "\n")
 
 
+def _emit_json(obj, indent=None):
+    import json
+
+    _emit(json.dumps(obj, indent=indent))
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -117,9 +131,8 @@ def _cmd_catalog(args) -> int:
     rows = [(s.key, s.description, s.level, s.oeis)
             for s in sequences.CATALOG.values()]
     if args.format == "json":
-        _emit(json.dumps([
-            {"seq": k, "definition": d, "level": lv, "oeis": o}
-            for k, d, lv, o in rows], indent=2))
+        _emit_json([{"seq": k, "definition": d, "level": lv, "oeis": o}
+                    for k, d, lv, o in rows], indent=2)
     elif args.format == "csv":
         _emit("seq,definition,level,oeis")
         for k, d, lv, o in rows:
@@ -140,7 +153,7 @@ def _cmd_truncate(args) -> int:
     p = Prime(args.prime).value
     a_p = sequences.truncation_poly(seq, p)
     if args.format == "json":
-        _emit(json.dumps({"seq": seq.key, "p": p, "A": list(a_p.coeffs)}))
+        _emit_json({"seq": seq.key, "p": p, "A": list(a_p.coeffs)})
     elif args.format == "csv":
         _emit("seq,p,coeffs")
         _emit(f"{seq.key},{p},{' '.join(map(str, a_p.coeffs))}")
@@ -157,13 +170,13 @@ def _cmd_cofactor(args) -> int:
     fact = sequences.truncation_poly(seq, p).square_cofactor()
     lift = pattern_miner.lift_cofactor(fact.cofactor, p)
     if args.format == "json":
-        _emit(json.dumps({
+        _emit_json({
             "seq": seq.key, "p": p, "c": fact.c,
             "P": list(fact.cofactor.coeffs), "B": list(fact.root.coeffs),
             "lift": {"coeffs": list(lift.coeffs),
                      "normalization": lift.normalization,
                      "reliable": lift.reliable},
-        }))
+        })
     elif args.format == "csv":
         _emit("seq,p,c,P,B,lift,reliable")
         _emit(f"{seq.key},{p},{fact.c},{' '.join(map(str, fact.cofactor.coeffs))},"
@@ -194,7 +207,7 @@ def _cmd_galois(args) -> int:
                 status = EXIT_FAIL
         rows.append(row)
     if args.format == "json":
-        _emit(json.dumps({"seq": seq.key, "rows": rows}, indent=2))
+        _emit_json({"seq": seq.key, "rows": rows}, indent=2)
     elif args.format == "csv":
         cols = list(rows[0])
         _emit(",".join(cols))
@@ -221,8 +234,13 @@ def _cmd_verify(args) -> int:
         if check in ("twist", "substitution", "quadratic") and seq.key not in (
                 "apery", "domb", "az"):
             raise UsageError(f"verify {check} applies to apery/domb/az, not {seq.key}")
+    primes = _primes_for(args)
+    if check == "kummer" and args.order is not None and args.order <= primes[-1]:
+        # below index p+1 the relation reads A_p = A_p * a_0, true whenever
+        # a_0 = 1, so it would pass without comparing a constrained coefficient
+        raise UsageError(f"verify kummer needs --order > p; {args.order} <= {primes[-1]}")
     failures = 0
-    for p in _primes_for(args):
+    for p in primes:
         try:
             ok, detail = _run_check(check, seq, p, args)
         except IdentityViolationError as exc:
@@ -284,6 +302,9 @@ def _cmd_mine(args) -> int:
 
 
 def main(argv=None) -> int:
+    # imported here, not with the module: only a run configures logging
+    import logging
+
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()

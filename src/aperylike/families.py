@@ -23,12 +23,11 @@ on the unsigned truncation and 64t^2+20t+1 on the catalog entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .fp_poly import FpPoly
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     key: str
     # f(t(x)) = rho(x) h(x)^2 with t = t_num/t_den

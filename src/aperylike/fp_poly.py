@@ -14,11 +14,11 @@ base cases and oracles.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
 
 from . import kernels
-from .finite_field import inv_mod, sqrt_mod
+from ._record import record
+from .finite_field import inv_mod
 
 _NEG_INF = float("-inf")
 
@@ -218,21 +218,6 @@ class FpPoly:
         """Split self = c * P * B^2 with P the monic squarefree odd-multiplicity part."""
         return SquareCofactor.from_parts(self, self.squarefree_decomposition())
 
-    def is_perfect_square(self) -> "FpPoly | None":
-        """A square root in F_p[t] when one exists, else None.
-
-        With self = c * P * B^2 (``square_cofactor``), a root exists iff
-        P = 1 and c is a quadratic residue, and it is sqrt_mod(c) * B: its
-        leading coefficient is the stable representative chosen by sqrt_mod.
-        """
-        if not self:
-            return self
-        fact = self.square_cofactor()
-        r = sqrt_mod(fact.c, self.p)
-        if fact.cofactor != 1 or r is None:
-            return None
-        return fact.root.scale(r)
-
     def substitute_rational(self, u: "FpPoly", v: "FpPoly",
                             degree: int | None = None) -> "FpPoly":
         """Numerator of self(u/v) cleared by v^degree: the sum of
@@ -324,7 +309,7 @@ def gcd(f: FpPoly, g: FpPoly) -> FpPoly:
     return FpPoly(kernels.poly_gcd(list(f.coeffs), list(g.coeffs), f.p), f.p, _trusted=True)
 
 
-@dataclass(frozen=True)
+@record
 class SquareCofactor:
     """Factorization data A = c * P * B^2 with P monic squarefree."""
 

@@ -14,9 +14,9 @@ points showing B is no l-th power when P = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import kernels
+from ._record import record
 from .errors import ReconstructionError
 from .families import FAMILIES, get_family
 from .finite_field import Prime, factorize, inv_mod, legendre, mult_order
@@ -29,7 +29,7 @@ LABEL_FULL = "FULL"
 LABEL_OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
+@record
 class GaloisResult:
     """Degree data for F_p(t, f)/F_p(t) with f^(p-1) = 1/A."""
 
@@ -108,7 +108,7 @@ CASE_ONE = "ONE"
 CASE_BOTH = "BOTH"
 
 
-@dataclass(frozen=True)
+@record
 class InvolutionReport:
     """Which of u = +/- u0 extend the fractional involution to an involution
     of the square-root field, by pure quadratic-character arithmetic."""
@@ -143,7 +143,7 @@ def involution_constant_case(family: str, p: int) -> str:
 # -- the Kummer congruence ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KummerReport:
     seq: str
     p: int
@@ -224,7 +224,7 @@ def rational_kummer_cofactor(f: FpSeries, degree_bound: int) -> tuple[FpPoly, Fp
 # -- per-prime records -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TruncationRecord:
     """One (sequence, prime) row: truncation, factorization, Galois data."""
 

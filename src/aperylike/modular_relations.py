@@ -9,8 +9,7 @@ boolean verifiers) rather than being an interesting outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import IdentityViolationError
 from .families import get_family
 from .fp_poly import FpPoly
@@ -125,7 +124,7 @@ def verify_H_power_identity(p: int, precision: int | None = None,
     return rhs == h[:p] + (0,) * (n - p)
 
 
-@dataclass(frozen=True)
+@record
 class SubstitutionResult:
     family: str
     p: int
@@ -155,7 +154,7 @@ def verify_substitution(family: str, p: int, precision: int = 60) -> Substitutio
         f"{family} substitution at p={p}, N={n}: no sign of t(x) validates")
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticCheck:
     family: str
     p: int

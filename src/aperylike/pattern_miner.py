@@ -14,19 +14,15 @@ aside as ramified rather than breaking exactness.
 """
 from __future__ import annotations
 
-import json
-import logging
 import math
 import os
 import random
-from dataclasses import dataclass, field
 
+from ._record import field, record
 from .finite_field import factorize, is_prime, legendre
 from .fp_poly import FpPoly, SquareCofactor
 from .kummer_galois import GaloisResult, TruncationRecord, certify, compute_record
 from .sequences import SequenceSpec, truncation_poly
-
-log = logging.getLogger(__name__)
 
 DEFAULT_DISCRIMINANTS = (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11)
 DEFAULT_MODULI = (3, 4, 6, 8, 12, 24)
@@ -37,10 +33,18 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 5), hi + 1) if is_prime(n)]
 
 
+def _warn(msg: str, *args) -> None:
+    """Log a warning on this module's logger.  ``logging`` is imported here,
+    not with the module, so that importing the package does not load it."""
+    import logging
+
+    logging.getLogger(__name__).warning(msg, *args, stacklevel=2)
+
+
 # -- lifting --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LiftedCofactor:
     """Integer lift of a monic cofactor, rescaled to constant term 1 when
     possible (matching the usual presentation) and monic otherwise.
@@ -86,7 +90,7 @@ def lift_cofactor(cofactor: FpPoly, p: int) -> LiftedCofactor:
 # -- classifiers --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LegendreProfile:
     """Conjunction of Legendre-symbol conditions (d_i/p) = eps_i."""
 
@@ -109,7 +113,7 @@ class LegendreProfile:
         return {"kind": "legendre", "symbols": [list(s) for s in self.symbols]}
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceClass:
     modulus: int
     residues: tuple[int, ...]
@@ -125,7 +129,7 @@ class CongruenceClass:
         return {"kind": "congruence", "modulus": self.modulus, "residues": list(self.residues)}
 
 
-@dataclass(frozen=True)
+@record
 class AlwaysTrue:
     def matches(self, p: int) -> bool | None:
         return True
@@ -151,7 +155,7 @@ def classifier_from_json(data: dict):
 # -- clustering --------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class Cluster:
     key: tuple[str, tuple[int, ...]]  # (normalization, constant-first integer coeffs)
     primes: list[int] = field(default_factory=list)
@@ -188,8 +192,8 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
         lift = lift_cofactor(rec.factorization.cofactor, rec.p)
         hits = match(rec.p, lift)
         if len(hits) > 1:
-            log.warning("%s p=%d: cofactor matches %d candidates; taking %s",
-                        rec.seq, rec.p, len(hits), list(hits[0][1]))
+            _warn("%s p=%d: cofactor matches %d candidates; taking %s",
+                  rec.seq, rec.p, len(hits), list(hits[0][1]))
         if hits:
             clusters[hits[0]].primes.append(rec.p)
         elif lift.reliable:
@@ -204,8 +208,8 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
         if hits:
             clusters[hits[0]].primes.append(p)
         else:
-            log.warning("%s p=%d: tentative cofactor lift %s matches no candidate",
-                        rec.seq, p, list(lift.coeffs))
+            _warn("%s p=%d: tentative cofactor lift %s matches no candidate",
+                  rec.seq, p, list(lift.coeffs))
             unmatched.append(p)
 
     for cluster in clusters.values():
@@ -217,7 +221,7 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
 # -- classifier inference --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ClusterReport:
     cofactor: tuple[int, ...]
     normalization: str
@@ -226,7 +230,7 @@ class ClusterReport:
     exceptions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class PatternReport:
     seq: str
     lo: int
@@ -443,6 +447,7 @@ def read_cache(path, seq_key: str) -> dict[int, TruncationRecord]:
     out: dict[int, TruncationRecord] = {}
     if not path or not os.path.exists(path):
         return out
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -456,7 +461,7 @@ def read_cache(path, seq_key: str) -> dict[int, TruncationRecord]:
                     continue
                 rec = TruncationRecord.from_json_dict(data)
             except (ValueError, KeyError, TypeError) as exc:
-                log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
+                _warn("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
                 continue
             out[rec.p] = rec
     return out
@@ -465,6 +470,8 @@ def read_cache(path, seq_key: str) -> dict[int, TruncationRecord]:
 def append_cache(path, records: list[TruncationRecord]) -> None:
     if not path or not records:
         return
+    import json
+
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
@@ -515,7 +522,7 @@ def sweep(
         if p in cached:
             continue
         if seq.is_external and len(seq.table.values) < p:
-            log.warning("%s: table too short for p=%d; prime skipped", seq.key, p)
+            _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
             continue
         todo.append(p)
     learned: list[LiftedCofactor] = []
@@ -543,7 +550,7 @@ def sweep(
         for p in rng.sample(in_range, max(1, len(in_range) // 100)):
             rec = compute_record(seq, p)
             if cached[p] != rec:
-                log.warning("%s: cached record at p=%d is stale; recomputed", seq.key, p)
+                _warn("%s: cached record at p=%d is stale; recomputed", seq.key, p)
                 cached[p] = rec
                 corrected.append(rec)
     append_cache(cache_path, corrected)
@@ -591,6 +598,8 @@ def poly_str(coeffs: tuple[int, ...]) -> str:
 
 def report_table(report: PatternReport, fmt: str = "text") -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     if fmt == "csv":
         lines = ["seq,lo,hi,status,cofactor,classifier,primes,exceptions"]

@@ -22,9 +22,9 @@ test that product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 
+from ._record import field, record
 from .errors import BFileError
 from .finite_field import digit_binomial
 from .fp_poly import FpPoly
@@ -117,7 +117,7 @@ def _gen_mod(r: int, s: int, n: int, p: int, binom) -> int:
 
 # -- catalog -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CoefficientTable:
     """Externally supplied exact coefficients, contiguous from index 0."""
 
@@ -125,7 +125,7 @@ class CoefficientTable:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Recurrence:
     """(n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1} for n >= 1, with u_0 = 1.
 
@@ -174,7 +174,7 @@ class Recurrence:
         return [u % p for u in out]
 
 
-@dataclass(frozen=True)
+@record
 class SequenceSpec:
     key: str
     description: str
@@ -353,7 +353,7 @@ def truncation_poly(seq: SequenceSpec, p: int) -> FpPoly:
     return FpPoly(coefficients_mod_p(seq, p, p), p)
 
 
-@dataclass(frozen=True)
+@record
 class LucasReport:
     seq: str
     p: int

@@ -213,6 +213,32 @@ class TestVerify:
             main(["verify", "hypergeometric", "--primes", "5..13", "--format", "json"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["kummer", "--seq", "apery", "--prime", "7", "--order", "0"],
+        ["hypergeometric", "--prime", "7", "--order", "-3"],
+        ["substitution", "--seq", "apery", "--prime", "7", "--order", "0"],
+    ], ids=["kummer-0", "hypergeometric-negative", "substitution-0"])
+    def test_order_below_one_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "--order: must be at least 1" in captured.err
+
+    def test_kummer_order_up_to_p_is_2(self, capsys):
+        # below index p+1 the relation reads A_p = A_p * a_0, which holds for
+        # any series with a_0 = 1, so no line may print PASS
+        code, out, err = run(capsys, "verify", "kummer", "--seq", "apery",
+                             "--primes", "5..13", "--order", "5")
+        assert code == 2 and out == ""
+        assert "--order > p" in err
+        code, out, _ = run(capsys, "verify", "kummer", "--seq", "apery",
+                           "--primes", "5..13", "--order", "13")
+        assert code == 2 and out == ""
+        code, out, _ = run(capsys, "verify", "kummer", "--seq", "apery",
+                           "--primes", "5..13", "--order", "14")
+        assert code == 0 and out.count("PASS") == 4
+
 
 class TestMine:
     def test_json_report(self, capsys, tmp_path):

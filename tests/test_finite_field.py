@@ -67,8 +67,7 @@ class TestSqrtMod:
 
 @pytest.mark.parametrize("p", [2, 3] + primes_between(5, 113))
 def test_quadratic_character_brute_force(p):
-    # 2 and 3 are below the Prime range but reach legendre and sqrt_mod
-    # through FpPoly, e.g. is_perfect_square over F_2
+    # 2 and 3 are below the Prime range, but both functions accept them
     for a in range(p):
         roots = [r for r in range(p) if r * r % p == a]
         assert legendre(a, p) == (0 if a == 0 else 1 if roots else -1)

@@ -303,35 +303,6 @@ class TestSquareCofactor:
             assert gcd(fact.cofactor, fact.cofactor.derivative()).degree <= 0
 
 
-class TestPerfectSquare:
-    def test_examples(self):
-        root = P([1, 0, 3, 0, 1], 5).is_perfect_square()
-        assert root is not None and root * root == P([1, 0, 3, 0, 1], 5)
-        assert root == P([4, 0, 1], 5)  # lc given the stable sqrt choice
-        assert P([0, 0, 2], 5).is_perfect_square() is None
-        zero = FpPoly.zero(5).is_perfect_square()
-        assert zero == FpPoly.zero(5)
-
-    def test_nonresidue_constant_blocks(self):
-        # 4t^2 is a square (2t), 2t^2 is not mod 5
-        assert P([0, 0, 4], 5).is_perfect_square() == P([0, 2], 5)
-
-    def test_f2(self):
-        # 1 is the only unit mod 2, and a square
-        f = P([1, 1], 2) ** 2
-        assert f == P([1, 0, 1], 2)
-        assert f.is_perfect_square() == P([1, 1], 2)
-        assert P([0, 1], 2).is_perfect_square() is None
-
-    def test_random_squares(self, rng):
-        for _ in range(200):
-            p = rng.choice([5, 13])
-            b = random_poly(rng, p, 5, nonzero=True)
-            f = b * b
-            root = f.is_perfect_square()
-            assert root is not None and root * root == f
-
-
 class TestSubstituteRational:
     def test_definition_example(self):
         p = 97

@@ -1,5 +1,8 @@
 import pytest
 
+from aperylike import modular_relations
+from aperylike.errors import IdentityViolationError
+from aperylike.finite_field import legendre
 from aperylike.fp_poly import FpPoly
 from aperylike.fp_series import FpSeries
 from aperylike.modular_relations import (_link_series, franel_series,
@@ -167,3 +170,74 @@ class TestQuadratic:
         # unsigned convention (middle sign -20) is its t -> -t mirror
         check = verify_quadratic("domb", 101)
         assert check.discriminant == FpPoly((1, 20, 64), 101)
+
+
+class TestSensitivity:
+    """One corrupted input coefficient, at an index below p or at p, makes
+    verify ode return False, twist and endpoint raise, and quadratic report
+    not ok.  ode, twist and endpoint read the Franel truncation H, quadratic
+    the family's a(t), b(t), c(t)."""
+
+    @staticmethod
+    def indices(p):
+        return (0, 1, (p - 1) // 2, p - 1, p)
+
+    @staticmethod
+    def corrupt_h(monkeypatch, i):
+        def corrupted(p, _h=modular_relations.franel_truncation):
+            return _h(p) + FpPoly.monomial(i, p)
+        monkeypatch.setattr(modular_relations, "franel_truncation", corrupted)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_ode(self, monkeypatch, p):
+        assert verify_ode(p)
+        for i in self.indices(p):
+            with monkeypatch.context() as m:
+                self.corrupt_h(m, i)
+                assert not verify_ode(p), i
+
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("family", ["apery", "domb", "az"])
+    def test_twist(self, monkeypatch, family, p):
+        for i in self.indices(p):
+            if family == "az" and i == (p - 1) // 2 and legendre(-2, p) == 1:
+                continue  # see test_twist_az_middle_coefficient
+            with monkeypatch.context() as m:
+                self.corrupt_h(m, i)
+                with pytest.raises(IdentityViolationError):
+                    verify_sigma_twist(family, p)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_twist_az_middle_coefficient(self, monkeypatch, p):
+        # cleared by (8x)^(p-1), sigma: x -> -1/(8x) sends c_k x^k to
+        # c_k (-1)^k 8^(p-1-k) x^(p-1-k); at k = (p-1)/2 that is (-2/p) c_k,
+        # so with the az sign +1 the twist constrains c_k only when
+        # (-2/p) = -1, and the check is blind to it at p = 1, 3 mod 8
+        self.corrupt_h(monkeypatch, (p - 1) // 2)
+        if legendre(-2, p) == 1:
+            assert verify_sigma_twist("az", p) == 1
+        else:
+            with pytest.raises(IdentityViolationError):
+                verify_sigma_twist("az", p)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_endpoint(self, monkeypatch, p):
+        for i in self.indices(p):
+            with monkeypatch.context() as m:
+                self.corrupt_h(m, i)
+                with pytest.raises(IdentityViolationError):
+                    verify_endpoint_constant(p)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("family", ["apery", "domb", "az"])
+    @pytest.mark.parametrize("name", ["quad_a", "quad_b", "quad_c"])
+    def test_quadratic(self, monkeypatch, family, p, name):
+        spec = modular_relations.get_family(family)
+        assert verify_quadratic(family, p).ok
+        for i in (0, p):
+            cs = list(getattr(spec, name)) + [0] * (p + 1)
+            cs[i] += 1
+            bad = type(spec)(**{**vars(spec), name: tuple(cs)})
+            with monkeypatch.context() as m:
+                m.setattr(modular_relations, "get_family", lambda key: bad)
+                assert not verify_quadratic(family, p).ok, i
