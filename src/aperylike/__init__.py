@@ -17,7 +17,6 @@ from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
 from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,
                             TruncationRecord, certify, compute_record,
                             galois_degree, involution_analysis,
-                            involution_constant_case,
                             predicted_cofactor, predicted_group,
                             rational_kummer_cofactor, verify_kummer_relation)
 from .sequences import (CATALOG, CoefficientTable, LucasReport, SequenceSpec,

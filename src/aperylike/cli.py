@@ -302,11 +302,6 @@ def _cmd_mine(args) -> int:
 
 
 def main(argv=None) -> int:
-    # imported here, not with the module: only a run configures logging
-    import logging
-
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.timestamp:

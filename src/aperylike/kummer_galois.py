@@ -121,6 +121,8 @@ class InvolutionReport:
 
 
 def involution_analysis(family: str, p: int) -> InvolutionReport:
+    """The involution constants admissible at p; ``case`` names how many
+    there are (NONE / ONE / BOTH)."""
     spec = get_family(family)
     need_square = spec.u_required_square(p)
     u0 = spec.u_num * inv_mod(spec.u_den, p) % p
@@ -133,11 +135,6 @@ def involution_analysis(family: str, p: int) -> InvolutionReport:
         family=family, p=p, case=case, admissible_signs=admissible,
         fixing_admissible=spec.fixing_sign in admissible,
     )
-
-
-def involution_constant_case(family: str, p: int) -> str:
-    """NONE / ONE / BOTH admissible involution constants at p."""
-    return involution_analysis(family, p).case
 
 
 # -- the Kummer congruence ---------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 
 from ._record import field, record
 from .finite_field import factorize, is_prime, legendre
@@ -35,9 +36,14 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def _warn(msg: str, *args) -> None:
     """Log a warning on this module's logger.  ``logging`` is imported here,
-    not with the module, so that importing the package does not load it."""
+    not with the module, so that a run without warnings never loads it.  If
+    the process has not configured logging, the first warning sets up the
+    ``WARNING aperylike.pattern_miner: ...`` lines on stderr."""
     import logging
 
+    if not logging.root.handlers:
+        logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger(__name__).warning(msg, *args, stacklevel=2)
 
 
@@ -521,7 +527,7 @@ def sweep(
     for p in ps:
         if p in cached:
             continue
-        if seq.is_external and len(seq.table.values) < p:
+        if seq.is_external and len(seq.table) < p:
             _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
             continue
         todo.append(p)

@@ -117,12 +117,82 @@ def _gen_mod(r: int, s: int, n: int, p: int, binom) -> int:
 
 # -- catalog -------------------------------------------------------------------
 
+# Decimal digits per limb of an external table.  int(str) is quadratic in the
+# digit count, and each limb costs a fixed Python-level step when it is parsed
+# and again in every residue pass.  On a 2100-term Apery b-file (values up to
+# 3209 digits), parsing plus three residue passes was flattest between 250 and
+# 400 digits and slower at 200 or 500.  Any width below 4300 keeps int() clear
+# of CPython's limit on the length of an integer string.
+LIMB_DIGITS = 300
+_LIMB = 10 ** LIMB_DIGITS
+_TWO_LIMB_BITS = 2 * _LIMB.bit_length()
+
+
 @record
 class CoefficientTable:
-    """Externally supplied exact coefficients, contiguous from index 0."""
+    """Externally supplied exact coefficients, contiguous from index 0.
+
+    Each value is held as its base-10^LIMB_DIGITS limbs, most significant
+    first, every limb carrying the value's sign, so that reading a table and
+    reducing it mod p are both linear in its digits.
+    """
 
     name: str
-    values: tuple[int, ...]
+    limbs: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.limbs)
+
+    def value(self, n: int) -> int:
+        """The exact value at index n, rebuilt without a string conversion."""
+        acc = 0
+        for x in self.limbs[n]:
+            acc = acc * _LIMB + x
+        return acc
+
+    def residue(self, n: int, p: int) -> int:
+        """The value at index n mod p."""
+        return _limbs_mod(self.limbs[n], _LIMB % p, p)
+
+    def residues(self, count: int, p: int) -> list[int]:
+        """The first ``count`` values mod p."""
+        r = _LIMB % p
+        return [_limbs_mod(limbs, r, p) for limbs in self.limbs[:count]]
+
+
+def _limbs_mod(limbs: tuple[int, ...], r: int, p: int) -> int:
+    """Horner's rule in base r = 10^LIMB_DIGITS mod p.  A step adds fewer than
+    log2(p) bits, so the accumulator is reduced only once it outgrows two
+    limbs; every step stays linear in the limb width."""
+    acc = 0
+    for x in limbs:
+        acc = acc * r + x
+        if acc.bit_length() > _TWO_LIMB_BITS:
+            acc %= p
+    return acc % p
+
+
+def _limbs(text: str) -> tuple[int, ...] | None:
+    """The limbs of an ASCII integer ``[+-]?[0-9]+``, or None for any other
+    text.  Unlike int(), this rejects underscores and non-ASCII digits."""
+    digits = text[1:] if text[0] in "+-" else text
+    # bytes.isdigit accepts only ASCII digits, and runs at C speed
+    if not digits.encode().isdigit():
+        return None
+    if len(digits) <= LIMB_DIGITS:
+        return (int(text),)
+    head = len(digits) % LIMB_DIGITS or LIMB_DIGITS
+    limbs = [int(digits[:head])]
+    limbs += [int(digits[i:i + LIMB_DIGITS])
+              for i in range(head, len(digits), LIMB_DIGITS)]
+    if text[0] == "-":
+        return tuple(-x for x in limbs)
+    return tuple(limbs)
+
+
+def _quote(line: str) -> str:
+    """``line`` for an error message, cut to at most 80 characters."""
+    return repr(line if len(line) <= 80 else line[:77] + "...")
 
 
 @record
@@ -253,8 +323,9 @@ def generalized(r: int, s: int) -> SequenceSpec:
 
 def load_external(path, name: str | None = None) -> SequenceSpec:
     """Parse an OEIS-style b-file: one "index value" pair per line,
-    '#' comments, indices contiguous from 0."""
-    values: list[int] = []
+    '#' comments, indices contiguous from 0, values ASCII integers of any
+    length."""
+    limbs: list[tuple[int, ...]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -262,22 +333,22 @@ def load_external(path, name: str | None = None) -> SequenceSpec:
                 continue
             fields = line.split()
             if len(fields) != 2:
-                raise BFileError(f"expected 'index value', got {line!r}", lineno)
-            try:
-                idx, val = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise BFileError(f"non-integer entry in {line!r}", lineno) from None
-            if idx != len(values):
+                raise BFileError(f"expected 'index value', got {_quote(line)}", lineno)
+            idx, val = _limbs(fields[0]), _limbs(fields[1])
+            if idx is None or val is None:
+                raise BFileError(f"non-integer entry in {_quote(line)}", lineno)
+            if idx != (len(limbs),):
+                shown = idx[0] if len(idx) == 1 else _quote(fields[0])
                 raise BFileError(
-                    f"index {idx} out of order (expected {len(values)})", lineno)
-            values.append(val)
-    if not values:
+                    f"index {shown} out of order (expected {len(limbs)})", lineno)
+            limbs.append(val)
+    if not limbs:
         raise BFileError("file contains no coefficients")
     stem = name if name is not None else _stem(path)
     return SequenceSpec(
         key=f"external:{stem}",
-        description=f"external coefficient table ({len(values)} terms)",
-        table=CoefficientTable(name=stem, values=tuple(values)),
+        description=f"external coefficient table ({len(limbs)} terms)",
+        table=CoefficientTable(name=stem, limbs=tuple(limbs)),
     )
 
 
@@ -303,15 +374,18 @@ def get_sequence(key: str) -> SequenceSpec:
 
 # -- evaluation ------------------------------------------------------------------
 
+def _check_index(seq: SequenceSpec, n: int) -> None:
+    if n >= len(seq.table):
+        raise ValueError(f"{seq.key} has {len(seq.table)} terms; index {n} out of range")
+
+
 def term_exact(seq: SequenceSpec, n: int):
     """Exact integer value; the oracle for every other evaluator."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if seq.is_external:
-        if n >= len(seq.table.values):
-            raise ValueError(
-                f"{seq.key} has {len(seq.table.values)} terms; index {n} out of range")
-        return seq.table.values[n]
+        _check_index(seq, n)
+        return seq.table.value(n)
     return seq.exact(n)
 
 
@@ -319,12 +393,14 @@ def term_mod_p(seq: SequenceSpec, n: int, p: int) -> int:
     """Value mod p, without the exact sum.
 
     A catalog row steps its recurrence mod p^N up to n (O(n)); ``gen:r,s``
-    sums its formula with digit-wise binomials; an external table is reduced.
+    sums its formula with digit-wise binomials; an external table reduces
+    the limbs of its one value.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if seq.is_external:
-        return term_exact(seq, n) % p
+        _check_index(seq, n)
+        return seq.table.residue(n, p)
     if seq.recurrence is None:
         return seq.mod(n, p, digit_binomial(p))
     return seq.recurrence.terms_mod_p(n + 1, p)[n]
@@ -338,10 +414,9 @@ def coefficients_mod_p(seq: SequenceSpec, count: int, p: int) -> list[int]:
     Lucas product; every index of ``gen:r,s`` from the digit-wise summand.
     """
     if seq.is_external:
-        if count > len(seq.table.values):
-            raise ValueError(
-                f"{seq.key} has {len(seq.table.values)} terms; need {count}")
-        return [v % p for v in seq.table.values[:count]]
+        if count > len(seq.table):
+            raise ValueError(f"{seq.key} has {len(seq.table)} terms; need {count}")
+        return seq.table.residues(count, p)
     if seq.recurrence is None:
         binom = digit_binomial(p)
         return [seq.mod(n, p, binom) for n in range(count)]
@@ -374,8 +449,8 @@ def verify_lucas_property(seq: SequenceSpec, p: int, digit_levels: int = 1) -> L
     if digit_levels < 1:
         raise ValueError("digit_levels must be >= 1")
     count = p ** (digit_levels + 1)
-    if seq.is_external and count > len(seq.table.values):
-        count = len(seq.table.values)
+    if seq.is_external:
+        count = min(count, len(seq.table))
     vals = coefficients_mod_p(seq, count, p)
     for idx in range(p, count):
         n, l = divmod(idx, p)

@@ -55,16 +55,28 @@ STRETCH_CASES = {
 BFILE_TERMS = 2100
 
 
-def write_apery_bfile(path: Path) -> None:
-    """Apery numbers a(0..BFILE_TERMS-1) as an OEIS b-file, from the exact
-    recurrence (n+1)^3 a(n+1) = (34n^3 + 51n^2 + 27n + 5) a(n) - n^3 a(n-1)."""
+def write_apery_bfile(path: Path, terms: int = BFILE_TERMS) -> list[int]:
+    """Apery numbers a(0..terms-1) as an OEIS b-file, from the exact
+    recurrence (n+1)^3 a(n+1) = (34n^3 + 51n^2 + 27n + 5) a(n) - n^3 a(n-1).
+    Returns the values.  Past n = 2810 they have more than 4300 digits, the
+    default limit on int-to-str conversion of CPython 3.10.7 and later, so
+    the limit is lifted while the file is written."""
     values = [1, 5]
-    for n in range(1, BFILE_TERMS - 1):
+    for n in range(1, terms - 1):
         num = (34 * n ** 3 + 51 * n ** 2 + 27 * n + 5) * values[n] - n ** 3 * values[n - 1]
         q, r = divmod(num, (n + 1) ** 3)
         assert r == 0, f"Apery recurrence not integral at n={n + 1}"
         values.append(q)
-    path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values)), encoding="utf-8")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "".join(f"{n} {v}\n" for n, v in enumerate(values))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    path.write_text(text, encoding="utf-8")
+    return values
 
 
 def run_case(name: str, workdir: Path) -> dict[str, bytes]:

@@ -9,7 +9,6 @@ from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
                                      GaloisResult, certify,
                                      compute_record, galois_degree,
                                      involution_analysis,
-                                     involution_constant_case,
                                      predicted_cofactor, predicted_group,
                                      rational_kummer_cofactor,
                                      verify_kummer_relation)
@@ -194,7 +193,7 @@ class TestPredictions:
 class TestInvolutionCases:
     def test_apery_case_table(self):
         for p in primes_between(5, 499):
-            case = involution_constant_case("apery", p)
+            case = involution_analysis("apery", p).case
             if p % 4 == 3:
                 assert case == CASE_ONE
             elif p % 24 in (13, 17):
@@ -205,13 +204,13 @@ class TestInvolutionCases:
 
     def test_domb_case_table(self):
         for p in primes_between(5, 499):
-            case = involution_constant_case("domb", p)
+            case = involution_analysis("domb", p).case
             want = {1: CASE_BOTH, 5: CASE_NONE, 7: CASE_ONE, 11: CASE_ONE}[p % 12]
             assert case == want
 
     def test_az_case_table(self):
         for p in primes_between(5, 499):
-            case = involution_constant_case("az", p)
+            case = involution_analysis("az", p).case
             want = {1: CASE_BOTH, 3: CASE_ONE, 5: CASE_NONE, 7: CASE_ONE}[p % 8]
             assert case == want
 

@@ -13,7 +13,8 @@ from aperylike.finite_field import inv_mod, is_prime  # noqa: E402
 from aperylike.fp_poly import FpPoly, gcd, mul_schoolbook  # noqa: E402
 from aperylike.fp_series import expand_rational  # noqa: E402
 from aperylike.kummer_galois import rational_kummer_cofactor  # noqa: E402
-from aperylike.sequences import CATALOG, coefficients_mod_p, term_mod_p  # noqa: E402
+from aperylike.sequences import (CATALOG, LIMB_DIGITS, coefficients_mod_p,  # noqa: E402
+                                load_external, term_exact, term_mod_p)
 from tests.conftest import EXACT_LAST, exact_terms  # noqa: E402
 
 PRIMES = [p for p in range(5, 400) if is_prime(p)]
@@ -264,3 +265,31 @@ def test_rational_reconstruction_is_reduced(p, seed):
         assert rational_kummer_cofactor(f, bound) == (u, v)
     with pytest.raises(ReconstructionError):
         rational_kummer_cofactor(f, d - 1)
+
+
+K = LIMB_DIGITS
+# 2 and 5 divide 10^K; 10^700 + 1 exceeds two limbs, so Horner's accumulator
+# is reduced inside a value of three or more limbs
+TABLE_MODULI = [2, 3, 5, 7, 1999, 2 ** 61 - 1, 10 ** 700 + 1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 3),
+                               st.sampled_from([1, K - 1, K, K + 1, 2 * K, 3 * K + 1])),
+                     min_size=1, max_size=6),
+       p=st.sampled_from(TABLE_MODULI), rnd=st.randoms(use_true_random=False))
+def test_limb_table_matches_int(tmp_path_factory, rows, p, rnd):
+    # signed values with leading zeros, around each multiple of the limb width
+    texts = [sign + "0" * zeros + str(rnd.randrange(10 ** (length - 1), 10 ** length))
+             for sign, zeros, length in rows]
+    path = tmp_path_factory.mktemp("limbs") / "t.b"
+    path.write_text("".join(f"{n} {t}\n" for n, t in enumerate(texts)), encoding="utf-8")
+    spec = load_external(path)
+    want = [int(t) for t in texts]
+    assert len(spec.table) == len(texts)
+    assert [term_exact(spec, n) for n in range(len(texts))] == want
+    assert coefficients_mod_p(spec, len(texts), p) == [v % p for v in want]
+    assert [term_mod_p(spec, n, p) for n in range(len(texts))] == [v % p for v in want]
+    for limbs, v in zip(spec.table.limbs, want):
+        assert all(abs(x) < 10 ** K and x * v >= 0 for x in limbs)
+

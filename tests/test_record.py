@@ -96,7 +96,7 @@ class TestRecordSemantics:
 
     def test_sequence_spec_ignores_table(self):
         plain = SequenceSpec("external:x", "table")
-        tabled = SequenceSpec("external:x", "table", table=CoefficientTable("x", (1, 5, 73)))
+        tabled = SequenceSpec("external:x", "table", table=CoefficientTable("x", ((1,), (5,), (73,))))
         assert plain == tabled and hash(plain) == hash(tabled)
         assert tabled.is_external and not plain.is_external
         assert SequenceSpec("external:y", "table") != plain
@@ -134,3 +134,25 @@ def test_cli_import_loads_no_dataclasses_logging_or_json():
     loaded = set(out.split())
     assert not loaded & {"dataclasses", "inspect", "logging", "json"}
     assert CLI_MODULES <= loaded
+    # a run that warns about nothing does not load logging either
+    probe = ("import sys, aperylike.cli\n"
+             "status = aperylike.cli.main(['galois', '--seq', 'apery', '--primes', '5..60'])\n"
+             "sys.stderr.write(f'{status} {\"logging\" in sys.modules}')")
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert run.stdout.startswith("p=5 ")
+    assert run.stderr == "0 False"
+
+
+def test_cli_warning_keeps_its_stderr_line(tmp_path):
+    # logging is set up at the first warning, in the format cli.main used to set
+    bfile = tmp_path / "short.b"
+    bfile.write_text("0 1\n1 5\n2 73\n3 1445\n4 33001\n5 819005\n")
+    argv = ["mine", "--seq", f"@{bfile}", "--primes", "5..11", "--threads", "1"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("APERY_CACHE", None)
+    run = subprocess.run([sys.executable, "-S", "-m", "aperylike.cli", *argv], env=env,
+                         check=True, capture_output=True, text=True, timeout=60)
+    assert run.stderr == "".join(
+        f"WARNING aperylike.pattern_miner: external:short: table too short for p={p}; "
+        "prime skipped\n" for p in (7, 11))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from aperylike.cli import main
 from aperylike.errors import BFileError
 from aperylike.fp_series import FpSeries
 from aperylike.sequences import (CATALOG, coefficients_mod_p, generalized,
@@ -9,6 +10,7 @@ from aperylike.sequences import (CATALOG, coefficients_mod_p, generalized,
                                  term_mod_p, truncation_poly,
                                  verify_lucas_property)
 from tests.conftest import exact_terms, primes_between
+from tests.test_golden import write_apery_bfile
 
 
 class TestExactValues:
@@ -194,7 +196,7 @@ class TestLucasProperty:
         assert not report.ok
         assert report.counterexample is not None
         n, l = report.counterexample
-        vals = [v % 7 for v in spec.table.values]
+        vals = spec.table.residues(len(spec.table), 7)
         assert vals[n * 7 + l] != vals[n] * vals[l] % 7
 
 
@@ -236,3 +238,63 @@ class TestExternal:
         assert get_sequence(f"@{path}").key == "external:ext"
         with pytest.raises(ValueError):
             get_sequence("nonsense")
+
+    # int() accepts 1_000 and the non-ASCII digits; none is an ASCII integer
+    @pytest.mark.parametrize("line", [
+        "2 1_000", "2 --5", "2 +", "2 5-3", "2 \u0663", "2 7\uff13", "\u0662 73"])
+    def test_rejects_what_is_not_an_ascii_integer(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1\n1 5\n{line}\n", encoding="utf-8")
+        with pytest.raises(BFileError, match="non-integer entry") as info:
+            load_external(path)
+        assert info.value.line_number == 3
+
+    @pytest.mark.parametrize("line", ["1 " + "7" * 5000 + "x", "1 " + "7" * 5000 + " 2",
+                                      "1" * 5000 + " 5"],
+                             ids=["bad-value", "three-fields", "long-index"])
+    def test_long_bad_line_is_quoted_short(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(BFileError) as info:
+            load_external(path)
+        assert info.value.line_number == 2
+        assert len(str(info.value)) < 140
+
+    def test_signs_and_leading_zeros(self, tmp_path):
+        path = tmp_path / "signed.txt"
+        path.write_text("0 +1\n1 -5\n2 -0\n3 000073\n4 -" + "9" * 700 + "\n")
+        spec = load_external(path)
+        assert [term_exact(spec, n) for n in range(4)] == [1, -5, 0, 73]
+        assert term_exact(spec, 4) == 1 - 10 ** 700
+        assert coefficients_mod_p(spec, 5, 7) == [1, 2, 0, 3, (1 - 10 ** 700) % 7]
+
+
+class TestLongValues:
+    """Apery values pass 4300 digits, CPython's default limit on int(str),
+    after n = 2810; the table never converts a whole value from a string."""
+
+    TERMS = 2900
+
+    @pytest.fixture(scope="class")
+    def apery_2900(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("long") / "apery.b"
+        values = write_apery_bfile(path, self.TERMS)
+        return path, values
+
+    def test_loads_past_the_limit(self, apery_2900):
+        path, values = apery_2900
+        assert values[-1] > 10 ** 4300
+        spec = load_external(path)
+        assert len(spec.table) == self.TERMS
+        for n in (2811, 2850, self.TERMS - 1):
+            assert term_exact(spec, n) == values[n]
+        for p in (2897, 2 ** 61 - 1):
+            assert coefficients_mod_p(spec, self.TERMS, p) == [v % p for v in values]
+            assert term_mod_p(spec, self.TERMS - 1, p) == values[-1] % p
+
+    def test_mine_runs(self, apery_2900, tmp_path, capsys):
+        path, _ = apery_2900
+        assert main(["mine", "--seq", f"@{path}", "--primes", "2880..2899",
+                     "--threads", "1", "--cache", str(tmp_path / "cache.jsonl")]) == 0
+        assert "VALIDATED" in capsys.readouterr().out
+
