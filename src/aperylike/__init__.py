@@ -10,8 +10,8 @@ ranges.
 from .errors import (BFileError, IdentityViolationError, ReconstructionError,
                      UnsupportedPrimeError)
 from .families import FAMILIES, FamilySpec
-from .finite_field import (Prime, binomial_lucas, factorial_tables, inv_mod,
-                           is_prime, legendre, mult_order, sqrt_mod)
+from .finite_field import (binomial_lucas, check_prime, factorial_tables,
+                           inv_mod, is_prime, legendre, mult_order, sqrt_mod)
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
 from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,
@@ -19,10 +19,9 @@ from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,
                             galois_degree, involution_analysis,
                             predicted_cofactor, predicted_group,
                             rational_kummer_cofactor, verify_kummer_relation)
-from .sequences import (CATALOG, CoefficientTable, LucasReport, SequenceSpec,
-                        coefficients_mod_p, generalized, get_sequence,
-                        load_external, term_exact, term_mod_p,
-                        truncation_poly, verify_lucas_property)
+from .sequences import (CATALOG, LucasReport, SequenceSpec, coefficients_mod_p,
+                        generalized, get_sequence, load_external, term_exact,
+                        term_mod_p, truncation_poly, verify_lucas_property)
 
 __version__ = "0.1.0"
 

@@ -2,13 +2,13 @@
 
 ``@record`` gives a class whose body lists annotated fields the methods that
 ``@dataclass(frozen=True)`` would: ``__init__`` taking the fields in order,
-by position or keyword, with their defaults; ``__eq__`` comparing the
-compared fields and only with an object of the same class, so a record never
-equals a tuple; ``__hash__`` over the same fields; ``__repr__`` in the
+by position or keyword, with their defaults (a field's default is the value
+assigned to it in the class body); ``__eq__`` comparing the fields and only
+with an object of the same class, so a record never equals a tuple;
+``__hash__`` over the same fields; ``__repr__`` in the
 ``Name(field=value, ...)`` form; and ``__setattr__``/``__delattr__`` raising
-``AttributeError``.  ``@record(frozen=False)`` leaves the instances mutable
-and unhashable.  Instances keep their fields in ``__dict__``, so they pickle
-and copy by the default protocol.
+``AttributeError``.  Instances keep their fields in ``__dict__``, so they
+pickle and copy by the default protocol.
 
 The methods are closures over the field names.  ``dataclasses`` writes each
 one as source and runs it through ``exec``, and importing it pulls in
@@ -17,50 +17,21 @@ one as source and runs it through ``exec``, and importing it pulls in
 """
 from operator import attrgetter
 
-_MISSING = object()
 
-
-class field:
-    """Options of one field: a default value or a zero-argument factory,
-    and whether ``__eq__`` and ``__hash__`` look at it."""
-
-    __slots__ = ("default", "default_factory", "compare")
-
-    def __init__(self, *, default=_MISSING, default_factory=None, compare=True):
-        self.default = default
-        self.default_factory = default_factory
-        self.compare = compare
-
-
-def record(cls=None, /, *, frozen=True):
+def record(cls):
     """Class decorator; see the module docstring."""
-    if cls is None:
-        return lambda c: _build(c, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen):
-    names, compared, defaults, factories = [], [], {}, {}
+    names, defaults = [], {}
     for name in cls.__dict__.get("__annotations__", {}):
-        spec = cls.__dict__.get(name, _MISSING)
-        if not isinstance(spec, field):
-            spec = field(default=spec)
         names.append(name)
-        if spec.compare:
-            compared.append(name)
-        if spec.default_factory is not None:
-            factories[name] = spec.default_factory
-            delattr(cls, name)
-        elif spec.default is not _MISSING:
-            defaults[name] = spec.default
-            setattr(cls, name, spec.default)
+        if name in cls.__dict__:
+            defaults[name] = cls.__dict__[name]
     names = tuple(names)
     count = len(names)
-    key = _getter(compared)
+    key = _getter(names)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != count:
-            args = _bind(cls.__qualname__, names, defaults, factories, args, kwargs)
+            args = _bind(cls.__qualname__, names, defaults, args, kwargs)
         self.__dict__.update(zip(names, args))
 
     def __eq__(self, other):
@@ -83,11 +54,10 @@ def _build(cls, frozen):
 
     cls.__init__ = __init__
     cls.__eq__ = __eq__
-    cls.__hash__ = __hash__ if frozen else None
+    cls.__hash__ = __hash__
     cls.__repr__ = __repr__
-    if frozen:
-        cls.__setattr__ = __setattr__
-        cls.__delattr__ = __delattr__
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
     return cls
 
 
@@ -99,7 +69,7 @@ def _getter(names):
     return attrgetter(*names) if names else lambda obj: ()
 
 
-def _bind(cls_name, names, defaults, factories, args, kwargs):
+def _bind(cls_name, names, defaults, args, kwargs):
     """The field values of a call with positional ``args`` and ``kwargs``;
     raises ``TypeError`` as a Python function with these parameters would."""
     if len(args) > len(names):
@@ -109,8 +79,6 @@ def _bind(cls_name, names, defaults, factories, args, kwargs):
     for name in names[len(args):]:
         if name in kwargs:
             values.append(kwargs.pop(name))
-        elif name in factories:
-            values.append(factories[name]())
         elif name in defaults:
             values.append(defaults[name])
         else:

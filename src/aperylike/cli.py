@@ -14,7 +14,7 @@ import time
 
 from . import KERNEL_BACKEND, kummer_galois, modular_relations, pattern_miner, sequences
 from .errors import IdentityViolationError, UnsupportedPrimeError
-from .finite_field import Prime
+from .finite_field import check_prime
 from .pattern_miner import primes_in_range
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def _primes_for(args) -> list[int]:
     if args.prime is not None and args.primes is not None:
         raise UsageError("--prime and --primes are mutually exclusive")
     if args.prime is not None:
-        return [Prime(args.prime).value]
+        return [check_prime(args.prime)]
     if args.primes is not None:
         lo, hi = args.primes
         primes = primes_in_range(lo, hi)
@@ -150,7 +150,7 @@ def _cmd_truncate(args) -> int:
     seq = sequences.get_sequence(args.seq)
     if args.prime is None:
         raise UsageError("truncate needs --prime")
-    p = Prime(args.prime).value
+    p = check_prime(args.prime)
     a_p = sequences.truncation_poly(seq, p)
     if args.format == "json":
         _emit_json({"seq": seq.key, "p": p, "A": list(a_p.coeffs)})
@@ -166,7 +166,7 @@ def _cmd_cofactor(args) -> int:
     seq = sequences.get_sequence(args.seq)
     if args.prime is None:
         raise UsageError("cofactor needs --prime")
-    p = Prime(args.prime).value
+    p = check_prime(args.prime)
     fact = sequences.truncation_poly(seq, p).square_cofactor()
     lift = pattern_miner.lift_cofactor(fact.cofactor, p)
     if args.format == "json":

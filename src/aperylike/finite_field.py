@@ -42,42 +42,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Prime:
-    """A validated odd prime modulus p >= 5.
-
-    The half value e = (p-1)/2 (the order of the subgroup of squares) is
-    exposed as an attribute since nearly every consumer needs it.
-    """
-
-    __slots__ = ("value", "e")
-
-    def __init__(self, value: int):
-        value = int(value)
-        if value in (2, 3):
-            raise UnsupportedPrimeError(f"p = {value} is excluded (need p >= 5)")
-        if value >= MAX_PRIME:
-            raise UnsupportedPrimeError(f"p = {value} exceeds the 2^31 limit")
-        if not is_prime(value):
-            raise UnsupportedPrimeError(f"{value} is not prime")
-        self.value = value
-        self.e = (value - 1) // 2
-
-    def __int__(self):
-        return self.value
-
-    def __index__(self):
-        return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, Prime):
-            return self.value == other.value
-        return self.value == other
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Prime({self.value})"
+def check_prime(value: int) -> int:
+    """``value`` if it is a prime modulus 5 <= p < 2^31, else
+    ``UnsupportedPrimeError``."""
+    if value in (2, 3):
+        raise UnsupportedPrimeError(f"p = {value} is excluded (need p >= 5)")
+    if value >= MAX_PRIME:
+        raise UnsupportedPrimeError(f"p = {value} exceeds the 2^31 limit")
+    if not is_prime(value):
+        raise UnsupportedPrimeError(f"{value} is not prime")
+    return value
 
 
 def inv_mod(a: int, p: int) -> int:

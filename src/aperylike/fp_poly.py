@@ -158,12 +158,6 @@ class FpPoly:
             acc = (acc * a + c) % self.p
         return acc
 
-    def shift(self, k: int) -> "FpPoly":
-        """Multiply by t^k."""
-        if not self:
-            return self
-        return FpPoly((0,) * k + self.coeffs, self.p, _trusted=True)
-
     # -- structure ------------------------------------------------------------
     def pth_root(self) -> "FpPoly":
         """Inverse of Frobenius for polynomials in t^p: c at exponent pk -> c at k.

@@ -19,7 +19,7 @@ from . import kernels
 from ._record import record
 from .errors import ReconstructionError
 from .families import FAMILIES, get_family
-from .finite_field import Prime, factorize, inv_mod, legendre, mult_order
+from .finite_field import check_prime, factorize, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
 from .sequences import SequenceSpec, coefficients_mod_p, truncation_poly
@@ -274,7 +274,7 @@ class TruncationRecord:
         for key in ("A", "P", "B"):
             if any(type(x) is not int for x in data[key]):
                 raise ValueError(f"{key} has a coefficient that is not an integer")
-        p = Prime(data["p"]).value
+        p = check_prime(data["p"])
         c = data["c"]
         if not 1 <= c < p:
             raise ValueError(f"c = {c} is not in 1..{p - 1}")

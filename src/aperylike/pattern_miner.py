@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from ._record import field, record
+from ._record import record
 from .finite_field import factorize, is_prime, legendre
 from .fp_poly import FpPoly, SquareCofactor
 from .kummer_galois import GaloisResult, TruncationRecord, certify, compute_record
@@ -161,10 +161,10 @@ def classifier_from_json(data: dict):
 # -- clustering --------------------------------------------------------------------
 
 
-@record(frozen=False)
+@record
 class Cluster:
     key: tuple[str, tuple[int, ...]]  # (normalization, constant-first integer coeffs)
-    primes: list[int] = field(default_factory=list)
+    primes: tuple[int, ...]           # ascending
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -185,7 +185,7 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
     candidate matching always takes precedence over seeding.  Primes whose
     tentative lift never matches any candidate are returned separately.
     """
-    clusters: dict[tuple[str, tuple[int, ...]], Cluster] = {}
+    clusters: dict[tuple[str, tuple[int, ...]], list[int]] = {}
     pending: list[tuple[int, TruncationRecord, LiftedCofactor]] = []
 
     def match(p: int, lift: LiftedCofactor):
@@ -201,10 +201,9 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
             _warn("%s p=%d: cofactor matches %d candidates; taking %s",
                   rec.seq, rec.p, len(hits), list(hits[0][1]))
         if hits:
-            clusters[hits[0]].primes.append(rec.p)
+            clusters[hits[0]].append(rec.p)
         elif lift.reliable:
-            key = (lift.normalization, lift.coeffs)
-            clusters.setdefault(key, Cluster(key=key)).primes.append(rec.p)
+            clusters.setdefault((lift.normalization, lift.coeffs), []).append(rec.p)
         else:
             pending.append((rec.p, rec, lift))
 
@@ -212,16 +211,14 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
     for p, rec, lift in sorted(pending):
         hits = match(p, lift)
         if hits:
-            clusters[hits[0]].primes.append(p)
+            clusters[hits[0]].append(p)
         else:
             _warn("%s p=%d: tentative cofactor lift %s matches no candidate",
                   rec.seq, p, list(lift.coeffs))
             unmatched.append(p)
 
-    for cluster in clusters.values():
-        cluster.primes.sort()
-    ordered = sorted(clusters.values(), key=lambda c: (len(c.coeffs), c.coeffs))
-    return ordered, unmatched
+    ordered = sorted(clusters.items(), key=lambda kv: (len(kv[0][1]), kv[0][1]))
+    return [Cluster(key, tuple(sorted(ps))) for key, ps in ordered], unmatched
 
 
 # -- classifier inference --------------------------------------------------------------
@@ -338,7 +335,7 @@ def infer_conditions(
         return PatternReport(seq_key, lo, hi, "UNRESOLVED", (), unmatched=tuple(unmatched))
     if len(clusters) == 1:
         entry = ClusterReport(clusters[0].coeffs, clusters[0].normalization,
-                              AlwaysTrue(), tuple(clusters[0].primes), ())
+                              AlwaysTrue(), clusters[0].primes, ())
         return PatternReport(seq_key, lo, hi, good, (entry,),
                              unmatched=tuple(unmatched))
 
@@ -376,7 +373,7 @@ def infer_conditions(
         if exact:
             entries = tuple(
                 ClusterReport(cl.coeffs, cl.normalization, assignment[cl.key],
-                              tuple(cl.primes), ())
+                              cl.primes, ())
                 for cl in clusters
             )
             return PatternReport(seq_key, lo, hi, good, entries,
@@ -389,7 +386,7 @@ def infer_conditions(
         cand = best_entries[idx] if best_entries and idx < len(best_entries) else None
         exceptions = tuple(p for p in cl.primes if cand and cand.matches(p) is False)
         entries.append(ClusterReport(cl.coeffs, cl.normalization, cand,
-                                     tuple(cl.primes), exceptions))
+                                     cl.primes, exceptions))
     return PatternReport(seq_key, lo, hi, "UNRESOLVED", tuple(entries),
                          unmatched=tuple(unmatched))
 
@@ -527,7 +524,7 @@ def sweep(
     for p in ps:
         if p in cached:
             continue
-        if seq.is_external and len(seq.table) < p:
+        if seq.terms.size is not None and seq.terms.size < p:
             _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
             continue
         todo.append(p)

@@ -1,19 +1,19 @@
 """The sequence catalog: exact big-integer evaluators, three-term
 recurrences, and ingestion of external coefficient files.
 
-Each built-in sequence is written down once, plus one row of integer data:
+A sequence is its oracle ``exact``, which sums the defining formula with
+big-integer binomials, plus one residue source ``terms``.  Each source gives
+``residues(count, p)``, ``residue(n, p)`` and ``size``, the number of terms
+it holds (None when it has no end):
 
-* ``exact`` sums the defining formula with big-integer binomials and is the
-  oracle;
-* the catalog row stores the recurrence (n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1},
-  which ``Recurrence.terms_mod_p`` steps modulo p^N, one step per
-  coefficient, and which serves every index of ``term_mod_p`` and
-  ``coefficients_mod_p``.  Below p, N = 1 and (n+1)^k is a unit mod p; each
-  multiple of p costs k digits of p-adic precision per factor p (see
-  ``Recurrence.terms_mod_p``).
-
-The generalized family ``gen:r,s`` has no recurrence and is summed in F_p with
-digit-wise (Lucas) binomials.
+* ``Recurrence``: a catalog row's (n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1},
+  stored as integer data and stepped modulo p^N, one step per coefficient.
+  Below p, N = 1 and (n+1)^k is a unit mod p; each multiple of p costs k
+  digits of p-adic precision per factor p (see ``Recurrence.residues``);
+* ``GenSum``: the generalized family ``gen:r,s``, which has no recurrence and
+  is summed in F_p with digit-wise (Lucas) binomials;
+* ``CoefficientTable``: the values of an external b-file, which are also its
+  ``exact``.
 
 Indices n >= p come from the integer recurrence mod p^N, never from the Lucas
 product a_(np+l) = a_n a_l: ``verify_lucas_property`` and the Kummer check
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from ._record import field, record
+from ._record import record
 from .errors import BFileError
 from .finite_field import digit_binomial
 from .fp_poly import FpPoly
@@ -102,20 +102,7 @@ def a005260_exact(n: int) -> int:
     return sum(math.comb(n, k) ** 4 for k in range(n + 1))
 
 
-# -- mod-p summand ---------------------------------------------------------------
-#
-# Only the generalized family, which has no recurrence, is summed in F_p.  The
-# summand takes the per-prime digit-wise binomial ``binom = digit_binomial(p)``
-# as an argument, so callers that evaluate many indices build it once.
-
-def _gen_mod(r: int, s: int, n: int, p: int, binom) -> int:
-    acc = 0
-    for k in range(n + 1):
-        acc += pow(binom(n, k), r, p) * pow(binom(n + k, n), s, p)
-    return acc % p
-
-
-# -- catalog -------------------------------------------------------------------
+# -- residue sources ---------------------------------------------------------------
 
 # Decimal digits per limb of an external table.  int(str) is quadratic in the
 # digit count, and each limb costs a fixed Python-level step when it is parsed
@@ -134,30 +121,42 @@ class CoefficientTable:
 
     Each value is held as its base-10^LIMB_DIGITS limbs, most significant
     first, every limb carrying the value's sign, so that reading a table and
-    reducing it mod p are both linear in its digits.
+    reducing it mod p are both linear in its digits.  ``key`` is the key of
+    the sequence it serves, for error messages.
     """
 
-    name: str
+    key: str
     limbs: tuple[tuple[int, ...], ...]
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
         return len(self.limbs)
 
     def value(self, n: int) -> int:
-        """The exact value at index n, rebuilt without a string conversion."""
+        """The exact value at index n >= 0, rebuilt without a string
+        conversion."""
+        self._check(n)
         acc = 0
         for x in self.limbs[n]:
             acc = acc * _LIMB + x
         return acc
 
     def residue(self, n: int, p: int) -> int:
-        """The value at index n mod p."""
+        """The value at index n >= 0 mod p."""
+        self._check(n)
         return _limbs_mod(self.limbs[n], _LIMB % p, p)
 
     def residues(self, count: int, p: int) -> list[int]:
         """The first ``count`` values mod p."""
+        if count > len(self.limbs):
+            raise ValueError(f"{self.key} has {len(self.limbs)} terms; need {count}")
         r = _LIMB % p
         return [_limbs_mod(limbs, r, p) for limbs in self.limbs[:count]]
+
+    def _check(self, n: int) -> None:
+        if n >= len(self.limbs):
+            raise ValueError(f"{self.key} has {len(self.limbs)} terms; "
+                             f"index {n} out of range")
 
 
 def _limbs_mod(limbs: tuple[int, ...], r: int, p: int) -> int:
@@ -172,12 +171,12 @@ def _limbs_mod(limbs: tuple[int, ...], r: int, p: int) -> int:
     return acc % p
 
 
-def _limbs(text: str) -> tuple[int, ...] | None:
+def _limbs(text: bytes) -> tuple[int, ...] | None:
     """The limbs of an ASCII integer ``[+-]?[0-9]+``, or None for any other
-    text.  Unlike int(), this rejects underscores and non-ASCII digits."""
-    digits = text[1:] if text[0] in "+-" else text
+    bytes.  Unlike int(), this rejects underscores and non-ASCII digits."""
+    digits = text[1:] if text.startswith((b"+", b"-")) else text
     # bytes.isdigit accepts only ASCII digits, and runs at C speed
-    if not digits.encode().isdigit():
+    if not digits.isdigit():
         return None
     if len(digits) <= LIMB_DIGITS:
         return (int(text),)
@@ -185,14 +184,16 @@ def _limbs(text: str) -> tuple[int, ...] | None:
     limbs = [int(digits[:head])]
     limbs += [int(digits[i:i + LIMB_DIGITS])
               for i in range(head, len(digits), LIMB_DIGITS)]
-    if text[0] == "-":
+    if text.startswith(b"-"):
         return tuple(-x for x in limbs)
     return tuple(limbs)
 
 
-def _quote(line: str) -> str:
-    """``line`` for an error message, cut to at most 80 characters."""
-    return repr(line if len(line) <= 80 else line[:77] + "...")
+def _quote(line: bytes) -> str:
+    """``line`` for an error message, cut to at most 80 characters; bytes
+    that are not UTF-8 show as escapes."""
+    text = line.decode(errors="backslashreplace")
+    return repr(text if len(text) <= 80 else text[:77] + "...")
 
 
 @record
@@ -207,7 +208,9 @@ class Recurrence:
     b: tuple[int, ...]
     c: tuple[int, ...]
 
-    def terms_mod_p(self, count: int, p: int) -> list[int]:
+    size = None
+
+    def residues(self, count: int, p: int) -> list[int]:
         """u_0, ..., u_(count-1) mod p, for any count.
 
         The integer recurrence is stepped modulo q = p^N with
@@ -243,22 +246,48 @@ class Recurrence:
             out.append(num % q // p ** (k * e) * pow(m, -k, q) % q)
         return [u % p for u in out]
 
+    def residue(self, n: int, p: int) -> int:
+        """u_n mod p, in O(n) steps."""
+        return self.residues(n + 1, p)[n]
+
+
+@record
+class GenSum:
+    """sum_k C(n,k)^r C(n+k,n)^s, summed in F_p with digit-wise (Lucas)
+    binomials; ``residues`` builds ``digit_binomial(p)`` once for all its
+    indices."""
+
+    r: int
+    s: int
+
+    size = None
+
+    def residues(self, count: int, p: int) -> list[int]:
+        binom = digit_binomial(p)
+        return [self._sum(n, p, binom) for n in range(count)]
+
+    def residue(self, n: int, p: int) -> int:
+        return self._sum(n, p, digit_binomial(p))
+
+    def _sum(self, n: int, p: int, binom) -> int:
+        r, s = self.r, self.s
+        acc = 0
+        for k in range(n + 1):
+            acc += pow(binom(n, k), r, p) * pow(binom(n + k, n), s, p)
+        return acc % p
+
 
 @record
 class SequenceSpec:
+    """A sequence: its oracle ``exact`` (n -> int) and its one residue source
+    ``terms``, a ``Recurrence``, ``GenSum`` or ``CoefficientTable``."""
+
     key: str
     description: str
-    exact: object = None          # callable n -> int
-    mod: object = None            # gen:r,s only: callable (n, p, digit_binomial(p)) -> int
-    recurrence: Recurrence | None = None
-    gen_params: tuple[int, int] | None = None
+    exact: object
+    terms: Recurrence | GenSum | CoefficientTable
     level: int | None = None
     oeis: str | None = None
-    table: CoefficientTable | None = field(default=None, compare=False)
-
-    @property
-    def is_external(self) -> bool:
-        return self.table is not None
 
 
 # (key, description, exact, (k, u1, b, c) of the recurrence, level, OEIS);
@@ -303,7 +332,7 @@ _CATALOG_ROWS = [
 
 CATALOG: dict[str, SequenceSpec] = {
     key: SequenceSpec(key=key, description=desc, exact=exact,
-                      recurrence=Recurrence(*rec), level=level, oeis=oeis)
+                      terms=Recurrence(*rec), level=level, oeis=oeis)
     for key, desc, exact, rec, level, oeis in _CATALOG_ROWS
 }
 
@@ -316,20 +345,19 @@ def generalized(r: int, s: int) -> SequenceSpec:
         key=f"gen:{r},{s}",
         description=f"sum_k C(n,k)^{r} C(n+k,n)^{s}",
         exact=partial(gen_apery_exact, r, s),
-        mod=partial(_gen_mod, r, s),
-        gen_params=(r, s),
+        terms=GenSum(r, s),
     )
 
 
 def load_external(path, name: str | None = None) -> SequenceSpec:
     """Parse an OEIS-style b-file: one "index value" pair per line,
-    '#' comments, indices contiguous from 0, values ASCII integers of any
-    length."""
+    '#' comments of any bytes, indices contiguous from 0, values ASCII
+    integers of any length."""
     limbs: list[tuple[int, ...]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(b"#"):
                 continue
             fields = line.split()
             if len(fields) != 2:
@@ -344,11 +372,13 @@ def load_external(path, name: str | None = None) -> SequenceSpec:
             limbs.append(val)
     if not limbs:
         raise BFileError("file contains no coefficients")
-    stem = name if name is not None else _stem(path)
+    key = f"external:{name if name is not None else _stem(path)}"
+    table = CoefficientTable(key, tuple(limbs))
     return SequenceSpec(
-        key=f"external:{stem}",
+        key=key,
         description=f"external coefficient table ({len(limbs)} terms)",
-        table=CoefficientTable(name=stem, limbs=tuple(limbs)),
+        exact=table.value,
+        terms=table,
     )
 
 
@@ -374,18 +404,10 @@ def get_sequence(key: str) -> SequenceSpec:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _check_index(seq: SequenceSpec, n: int) -> None:
-    if n >= len(seq.table):
-        raise ValueError(f"{seq.key} has {len(seq.table)} terms; index {n} out of range")
-
-
 def term_exact(seq: SequenceSpec, n: int):
     """Exact integer value; the oracle for every other evaluator."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if seq.is_external:
-        _check_index(seq, n)
-        return seq.table.value(n)
     return seq.exact(n)
 
 
@@ -398,29 +420,17 @@ def term_mod_p(seq: SequenceSpec, n: int, p: int) -> int:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if seq.is_external:
-        _check_index(seq, n)
-        return seq.table.residue(n, p)
-    if seq.recurrence is None:
-        return seq.mod(n, p, digit_binomial(p))
-    return seq.recurrence.terms_mod_p(n + 1, p)[n]
+    return seq.terms.residue(n, p)
 
 
 def coefficients_mod_p(seq: SequenceSpec, count: int, p: int) -> list[int]:
     """First ``count`` coefficients mod p.
 
     Every index of a catalog row, at and beyond p included, comes from its
-    recurrence stepped mod p^N (``Recurrence.terms_mod_p``), never from the
+    recurrence stepped mod p^N (``Recurrence.residues``), never from the
     Lucas product; every index of ``gen:r,s`` from the digit-wise summand.
     """
-    if seq.is_external:
-        if count > len(seq.table):
-            raise ValueError(f"{seq.key} has {len(seq.table)} terms; need {count}")
-        return seq.table.residues(count, p)
-    if seq.recurrence is None:
-        binom = digit_binomial(p)
-        return [seq.mod(n, p, binom) for n in range(count)]
-    return seq.recurrence.terms_mod_p(count, p)
+    return seq.terms.residues(count, p)
 
 
 def truncation_poly(seq: SequenceSpec, p: int) -> FpPoly:
@@ -449,8 +459,8 @@ def verify_lucas_property(seq: SequenceSpec, p: int, digit_levels: int = 1) -> L
     if digit_levels < 1:
         raise ValueError("digit_levels must be >= 1")
     count = p ** (digit_levels + 1)
-    if seq.is_external:
-        count = min(count, len(seq.table))
+    if seq.terms.size is not None:
+        count = min(count, seq.terms.size)
     vals = coefficients_mod_p(seq, count, p)
     for idx in range(p, count):
         n, l = divmod(idx, p)

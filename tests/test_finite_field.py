@@ -3,22 +3,21 @@ import math
 import pytest
 
 from aperylike.errors import UnsupportedPrimeError
-from aperylike.finite_field import (Prime, binomial_lucas, factorial_tables,
-                                    inv_mod, is_prime, legendre, mult_order,
-                                    sqrt_mod)
+from aperylike.finite_field import (binomial_lucas, check_prime,
+                                    factorial_tables, inv_mod, is_prime,
+                                    legendre, mult_order, sqrt_mod)
 from tests.conftest import primes_between
 
 
 class TestPrime:
     def test_accepts_odd_primes(self):
-        assert Prime(5).value == 5
-        assert Prime(10007).value == 10007
-        assert Prime(13).e == 6
+        assert check_prime(5) == 5
+        assert check_prime(10007) == 10007
 
     @pytest.mark.parametrize("bad", [2, 3, 1, 0, 9, 15, 91, 2**31 + 11])
     def test_rejects(self, bad):
         with pytest.raises(UnsupportedPrimeError):
-            Prime(bad)
+            check_prime(bad)
 
     def test_is_prime_against_sieve(self):
         sieve = set(primes_between(5, 2000)) | {2, 3}
@@ -67,7 +66,7 @@ class TestSqrtMod:
 
 @pytest.mark.parametrize("p", [2, 3] + primes_between(5, 113))
 def test_quadratic_character_brute_force(p):
-    # 2 and 3 are below the Prime range, but both functions accept them
+    # 2 and 3 are below the range check_prime accepts, but both functions accept them
     for a in range(p):
         roots = [r for r in range(p) if r * r % p == a]
         assert legendre(a, p) == (0 if a == 0 else 1 if roots else -1)

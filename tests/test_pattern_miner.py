@@ -95,7 +95,7 @@ class TestClustering:
         assert not unmatched
         assert len(clusters) == 1
         assert clusters[0].coeffs == (1, -34, 1)
-        assert clusters[0].primes == [13, 499]
+        assert clusters[0].primes == (13, 499)
 
     def test_unmatched_tentative_flagged(self):
         # only a tiny prime: height of the lift forbids seeding a candidate
@@ -443,7 +443,7 @@ class TestDeterminism:
         (pool,) = pools
         assert pool.initargs == (seq,)
         assert len(pool.tasks) == len(primes_in_range(5, 100))
-        table = pickle.dumps(seq.table)
+        table = pickle.dumps(seq.terms)
         assert all(len(task) < len(table) // 100 for task in pool.tasks)
 
     def test_cache_does_not_change_output(self, tmp_path):

@@ -286,10 +286,10 @@ def test_limb_table_matches_int(tmp_path_factory, rows, p, rnd):
     path.write_text("".join(f"{n} {t}\n" for n, t in enumerate(texts)), encoding="utf-8")
     spec = load_external(path)
     want = [int(t) for t in texts]
-    assert len(spec.table) == len(texts)
+    assert spec.terms.size == len(texts)
     assert [term_exact(spec, n) for n in range(len(texts))] == want
     assert coefficients_mod_p(spec, len(texts), p) == [v % p for v in want]
     assert [term_mod_p(spec, n, p) for n in range(len(texts))] == [v % p for v in want]
-    for limbs, v in zip(spec.table.limbs, want):
+    for limbs, v in zip(spec.terms.limbs, want):
         assert all(abs(x) < 10 ** K and x * v >= 0 for x in limbs)
 

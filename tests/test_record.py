@@ -10,26 +10,33 @@ import pytest
 from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import GaloisResult, compute_record
 from aperylike.pattern_miner import Cluster, LiftedCofactor, lift_cofactor
-from aperylike.sequences import CATALOG, CoefficientTable, SequenceSpec
+from aperylike.sequences import CATALOG, Recurrence, SequenceSpec, apery_exact
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def spec():
+    return SequenceSpec("s", "d", apery_exact, Recurrence(3, 5, (5, 27, 51, 34), (0, 0, 0, -1)),
+                        level=6)
 
 
 def samples():
     """Two equal but distinct instances of each frozen record type."""
     rec, again = compute_record(CATALOG["apery"], 13), compute_record(CATALOG["apery"], 13)
+    key = ("constant", (1, -34, 1))
     return [
         (rec, again),
         (rec.factorization, again.factorization),
         (rec.galois, again.galois),
         (lift_cofactor(rec.factorization.cofactor, 13),
          lift_cofactor(again.factorization.cofactor, 13)),
-        (SequenceSpec("s", "d", level=6), SequenceSpec("s", "d", level=6)),
+        (spec(), spec()),
+        (Cluster(key, (13, 17)), Cluster(key, (13, 17))),
     ]
 
 
 FROZEN = ["TruncationRecord", "SquareCofactor", "GaloisResult", "LiftedCofactor",
-          "SequenceSpec"]
+          "SequenceSpec", "Cluster"]
 
 
 @pytest.mark.parametrize("index", range(len(FROZEN)), ids=FROZEN)
@@ -83,8 +90,12 @@ class TestRecordSemantics:
             GaloisResult(13, 12, 12, bogus=1)
 
     def test_defaults(self):
-        spec = SequenceSpec("s", "d")
-        assert spec.exact is None and spec.recurrence is None and spec.table is None
+        terms = CATALOG["apery"].terms
+        spec = SequenceSpec("s", "d", apery_exact, terms)
+        assert spec.level is None and spec.oeis is None
+        assert spec == SequenceSpec("s", "d", apery_exact, terms, None, None)
+        with pytest.raises(TypeError):
+            SequenceSpec("s", "d", apery_exact)
 
     def test_repr(self):
         assert repr(GaloisResult(13, 12, 12)) == \
@@ -93,26 +104,6 @@ class TestRecordSemantics:
             "LiftedCofactor(coeffs=(1, -34, 1), normalization='constant', reliable=True)"
         rec = compute_record(CATALOG["apery"], 13)
         assert repr(rec).startswith(f"TruncationRecord(seq='apery', p=13, trunc={rec.trunc!r}, ")
-
-    def test_sequence_spec_ignores_table(self):
-        plain = SequenceSpec("external:x", "table")
-        tabled = SequenceSpec("external:x", "table", table=CoefficientTable("x", ((1,), (5,), (73,))))
-        assert plain == tabled and hash(plain) == hash(tabled)
-        assert tabled.is_external and not plain.is_external
-        assert SequenceSpec("external:y", "table") != plain
-
-    def test_cluster_is_mutable_and_unhashable(self):
-        key = ("constant", (1, -34, 1))
-        a, b = Cluster(key=key), Cluster(key)
-        assert a == b and a.primes == [] and a.primes is not b.primes
-        a.primes.append(13)
-        assert b.primes == [] and a != b
-        a.primes = [17]
-        assert a == Cluster(key, [17])
-        assert Cluster.__hash__ is None
-        with pytest.raises(TypeError):
-            hash(Cluster(key))
-        assert repr(a) == "Cluster(key=('constant', (1, -34, 1)), primes=[17])"
 
 
 # The aperylike modules `import aperylike.cli` loaded before the record types

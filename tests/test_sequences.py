@@ -5,9 +5,9 @@ import pytest
 from aperylike.cli import main
 from aperylike.errors import BFileError
 from aperylike.fp_series import FpSeries
-from aperylike.sequences import (CATALOG, coefficients_mod_p, generalized,
-                                 get_sequence, load_external, term_exact,
-                                 term_mod_p, truncation_poly,
+from aperylike.sequences import (CATALOG, GenSum, coefficients_mod_p,
+                                 generalized, get_sequence, load_external,
+                                 term_exact, term_mod_p, truncation_poly,
                                  verify_lucas_property)
 from tests.conftest import exact_terms, primes_between
 from tests.test_golden import write_apery_bfile
@@ -96,7 +96,7 @@ class TestCatalogRecurrences:
 
     @pytest.mark.parametrize("key", sorted(CATALOG))
     def test_matches_exact(self, key):
-        rec = CATALOG[key].recurrence
+        rec = CATALOG[key].terms
         exact = list(exact_terms(key))
         want = _by_recurrence(
             1, rec.u1,
@@ -130,12 +130,24 @@ class TestModP:
                 for n in range(3 * p):
                     assert term_mod_p(spec, n, p) == term_exact(spec, n) % p, (key, p, n)
 
-    def test_bulk_matches_single(self):
-        for key, spec in CATALOG.items():
+    def test_bulk_matches_single(self, tmp_path):
+        # every kind of residue source: the catalog's recurrences, the
+        # digit-wise sums of gen:r,s and the limbs of a b-file
+        path = tmp_path / "apery.b"
+        write_apery_bfile(path, 26)
+        table = load_external(path)
+        assert [term_exact(table, n) for n in range(26)] == list(exact_terms("apery")[:26])
+        for spec in [*CATALOG.values(), generalized(2, 1), generalized(3, 2), table]:
             for p in (5, 13):
-                want = [e % p for e in exact_terms(key)[:2 * p]]
-                assert coefficients_mod_p(spec, 2 * p, p) == want, (key, p)
-                assert [term_mod_p(spec, n, p) for n in range(2 * p)] == want, (key, p)
+                want = [term_exact(spec, n) % p for n in range(2 * p)]
+                assert coefficients_mod_p(spec, 2 * p, p) == want, (spec.key, p)
+                assert [term_mod_p(spec, n, p) for n in range(2 * p)] == want, (spec.key, p)
+        for call, text in [(lambda: term_exact(table, 26), "index 26 out of range"),
+                           (lambda: term_mod_p(table, 26, 13), "index 26 out of range"),
+                           (lambda: coefficients_mod_p(table, 27, 13), "need 27")]:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"external:apery has 26 terms; {text}"
 
 
 class TestTruncation:
@@ -196,7 +208,7 @@ class TestLucasProperty:
         assert not report.ok
         assert report.counterexample is not None
         n, l = report.counterexample
-        vals = spec.table.residues(len(spec.table), 7)
+        vals = spec.terms.residues(spec.terms.size, 7)
         assert vals[n * 7 + l] != vals[n] * vals[l] % 7
 
 
@@ -232,7 +244,7 @@ class TestExternal:
 
     def test_get_sequence_forms(self, tmp_path):
         assert get_sequence("apery").key == "apery"
-        assert get_sequence("gen:2,0").gen_params == (2, 0)
+        assert get_sequence("gen:2,0").terms == GenSum(2, 0)
         path = tmp_path / "ext.txt"
         path.write_text("0 1\n1 3\n")
         assert get_sequence(f"@{path}").key == "external:ext"
@@ -260,6 +272,19 @@ class TestExternal:
         assert info.value.line_number == 2
         assert len(str(info.value)) < 140
 
+    def test_latin1_bytes(self, tmp_path):
+        # a comment may hold any bytes; a value must be ASCII, and a bad one
+        # is reported with its line
+        path = tmp_path / "latin1.b"
+        path.write_bytes(b"# caf\xe9\n0 1\n1 5\n")
+        assert coefficients_mod_p(load_external(path), 2, 7) == [1, 5]
+        path.write_bytes(b"0 1\n1 5\xe9\n")
+        with pytest.raises(BFileError, match="non-integer entry") as info:
+            load_external(path)
+        assert info.value.line_number == 2
+        # the byte shows as the escape \xe9, which repr() quotes
+        assert str(info.value) == "line 2: non-integer entry in '1 5\\\\xe9'"
+
     def test_signs_and_leading_zeros(self, tmp_path):
         path = tmp_path / "signed.txt"
         path.write_text("0 +1\n1 -5\n2 -0\n3 000073\n4 -" + "9" * 700 + "\n")
@@ -285,7 +310,7 @@ class TestLongValues:
         path, values = apery_2900
         assert values[-1] > 10 ** 4300
         spec = load_external(path)
-        assert len(spec.table) == self.TERMS
+        assert spec.terms.size == self.TERMS
         for n in (2811, 2850, self.TERMS - 1):
             assert term_exact(spec, n) == values[n]
         for p in (2897, 2 ** 61 - 1):
