@@ -11,7 +11,7 @@ from .errors import (BFileError, IdentityViolationError, ReconstructionError,
                      UnsupportedPrimeError)
 from .families import FAMILIES, FamilySpec
 from .finite_field import (binomial_lucas, check_prime, factorial_tables,
-                           inv_mod, is_prime, legendre, mult_order, sqrt_mod)
+                           inv_mod, is_prime, legendre, mult_order)
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
 from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success / verified; 1 verification failure or theorem
-mismatch (or UNRESOLVED mining under --strict); 2 usage error; 3
-unsupported modulus (2, 3, or composite).  Results go to stdout,
+mismatch (or UNRESOLVED mining under --strict); 2 usage error (a path that
+cannot be read or written included); 3 unsupported modulus (2, 3, or
+composite).  Results go to stdout,
 diagnostics to stderr.
 """
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 
 from . import KERNEL_BACKEND, kummer_galois, modular_relations, pattern_miner, sequences
 from .errors import IdentityViolationError, UnsupportedPrimeError
+from .families import FAMILIES
 from .finite_field import check_prime
 from .pattern_miner import primes_in_range
 
@@ -193,7 +195,7 @@ def _cmd_cofactor(args) -> int:
 def _cmd_galois(args) -> int:
     seq = sequences.get_sequence(args.seq)
     check = args.check_theorem
-    if check and seq.key not in kummer_galois.FAMILIES:
+    if check and seq.key not in FAMILIES:
         raise UsageError(f"--check-theorem needs a family sequence, not {seq.key}")
     rows = []
     status = EXIT_OK
@@ -231,9 +233,8 @@ def _cmd_verify(args) -> int:
         if not args.seq:
             raise UsageError(f"verify {check} needs --seq")
         seq = sequences.get_sequence(args.seq)
-        if check in ("twist", "substitution", "quadratic") and seq.key not in (
-                "apery", "domb", "az"):
-            raise UsageError(f"verify {check} applies to apery/domb/az, not {seq.key}")
+        if check in ("twist", "substitution", "quadratic") and seq.key not in FAMILIES:
+            raise UsageError(f"verify {check} applies to {'/'.join(FAMILIES)}, not {seq.key}")
     primes = _primes_for(args)
     if check == "kummer" and args.order is not None and args.order <= primes[-1]:
         # below index p+1 the relation reads A_p = A_p * a_0, true whenever
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
     except UnsupportedPrimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PRIME
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,8 +9,10 @@ The twist H = +/- sigma(H) * w^(p-1) needs no data of its own: its factor w
 is sigma_den up to a constant, and the (p-1)-th power removes that constant,
 so H(sigma_num/sigma_den) cleared by sigma_den^(p-1) already contains w.
 
-All constants are integers (x- and t-polynomials as ascending coefficient
-tuples) and get reduced mod p on demand.
+A FamilySpec is plain data.  Its polynomials are integer tuples (x- and
+t-polynomials, coefficients ascending) that callers reduce mod p as
+``FpPoly(spec.t_num, p)``.  Its congruence rules on p are
+``(modulus, residues)`` pairs read by ``in_classes``.
 
 Sign conventions.  The Domb catalog entry is the alternating sequence, and
 every constant below is validated against exact computation for that
@@ -24,7 +26,6 @@ on the unsigned truncation and 64t^2+20t+1 on the catalog entry.
 from __future__ import annotations
 
 from ._record import record
-from .fp_poly import FpPoly
 
 
 @record
@@ -48,48 +49,21 @@ class FamilySpec:
     u_den: int
     # sign s such that u = s * u_num/u_den extends sigma to fix f
     fixing_sign: int
+    # congruence classes of p, each as (modulus, residues); (1, (0,)) is every p:
+    # the truncation at p is predicted to be a perfect square
+    square_classes: tuple[int, tuple[int, ...]]
+    # the twist reads H = +sigma(H) w^(p-1) (else -sigma(H) w^(p-1))
+    twist_plus_classes: tuple[int, tuple[int, ...]]
+    # the prolongation constants u must be quadratic residues (else non-residues)
+    u_square_classes: tuple[int, tuple[int, ...]]
+    # the signs of t(x) that verify_substitution tries, in order
+    t_signs: tuple[int, ...]
 
-    def twist_sign(self, p: int) -> int:
-        """Expected sign in H = sign * sigma(H) * w^(p-1)."""
-        if self.key == "az":
-            return 1
-        return 1 if p % 6 == 1 else -1
 
-    def predicts_square(self, p: int) -> bool:
-        """Whether the truncation at p is predicted to be a perfect square."""
-        if self.key == "apery":
-            return p % 24 in (1, 5, 7, 11)
-        if self.key == "domb":
-            return p % 6 == 1
-        return p % 8 in (1, 3)
-
-    def u_required_square(self, p: int) -> bool:
-        """Whether prolongation constants u must be quadratic residues at p."""
-        if self.key == "az":
-            return True
-        return p % 6 == 1
-
-    # -- mod-p materializations ------------------------------------------------
-    def t_num_poly(self, p: int) -> FpPoly:
-        return FpPoly(self.t_num, p)
-
-    def t_den_poly(self, p: int) -> FpPoly:
-        return FpPoly(self.t_den, p)
-
-    def rho_poly(self, p: int) -> FpPoly:
-        return FpPoly(self.rho, p)
-
-    def sigma_num_poly(self, p: int) -> FpPoly:
-        return FpPoly(self.sigma_num, p)
-
-    def sigma_den_poly(self, p: int) -> FpPoly:
-        return FpPoly(self.sigma_den, p)
-
-    def quad_polys(self, p: int) -> tuple[FpPoly, FpPoly, FpPoly]:
-        return FpPoly(self.quad_a, p), FpPoly(self.quad_b, p), FpPoly(self.quad_c, p)
-
-    def cofactor_poly(self, p: int) -> FpPoly:
-        return FpPoly(self.cofactor_quad, p)
+def in_classes(classes: tuple[int, tuple[int, ...]], p: int) -> bool:
+    """Whether p lies in the congruence classes ``(modulus, residues)``."""
+    modulus, residues = classes
+    return p % modulus in residues
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -101,6 +75,8 @@ FAMILIES: dict[str, FamilySpec] = {
         quad_a=(8,), quad_b=(-1, 1), quad_c=(0, 1),
         cofactor_quad=(1, -34, 1),
         u_num=8, u_den=9, fixing_sign=1,
+        square_classes=(24, (1, 5, 7, 11)), twist_plus_classes=(6, (1,)),
+        u_square_classes=(6, (1,)), t_signs=(1,),
     ),
     # f = (1-8x) h^2,  t = x(1+x)/(1-8x),  sigma: x -> (1+x)/(8x-1)
     "domb": FamilySpec(
@@ -110,6 +86,8 @@ FAMILIES: dict[str, FamilySpec] = {
         quad_a=(1,), quad_b=(1, 8), quad_c=(0, -1),
         cofactor_quad=(1, 20, 64),
         u_num=1, u_den=9, fixing_sign=1,
+        square_classes=(6, (1,)), twist_plus_classes=(6, (1,)),
+        u_square_classes=(6, (1,)), t_signs=(1, -1),
     ),
     # f = (1+x)(1-8x) h^2,  t = x/((1+x)(1-8x)),  sigma: x -> -1/(8x)
     "az": FamilySpec(
@@ -119,6 +97,8 @@ FAMILIES: dict[str, FamilySpec] = {
         quad_a=(0, 8), quad_b=(1, 7), quad_c=(0, -1),
         cofactor_quad=(1, 14, 81),
         u_num=8, u_den=1, fixing_sign=-1,
+        square_classes=(8, (1, 3)), twist_plus_classes=(1, (0,)),
+        u_square_classes=(1, (0,)), t_signs=(1,),
     ),
 }
 

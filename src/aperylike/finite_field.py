@@ -70,47 +70,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod p, or None when a is a non-residue.
-
-    The representative min(r, p - r) is returned so the choice is stable
-    across runs and platforms.
-    """
-    a %= p
-    if a == 0 or p == 2:
-        return a
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = b * b % p
-        t = t * c % p
-        r = r * b % p
-    return min(r, p - r)
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (fine for n < 2^31)."""
     out: dict[int, int] = {}

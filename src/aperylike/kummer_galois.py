@@ -18,11 +18,12 @@ import math
 from . import kernels
 from ._record import record
 from .errors import ReconstructionError
-from .families import FAMILIES, get_family
+from .families import FAMILIES, get_family, in_classes
 from .finite_field import check_prime, factorize, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
-from .sequences import SequenceSpec, coefficients_mod_p, truncation_poly
+from .sequences import (SequenceSpec, coefficients_mod_p, kummer_mismatch,
+                        truncation_poly)
 
 LABEL_S = "S"
 LABEL_FULL = "FULL"
@@ -81,8 +82,7 @@ def galois_degree(a: FpPoly) -> GaloisResult:
 
 def predicted_group(family: str, p: int) -> str:
     """Congruence-class prediction of the Galois label for a built-in family."""
-    spec = get_family(family)
-    return LABEL_S if spec.predicts_square(p) else LABEL_FULL
+    return LABEL_S if in_classes(get_family(family).square_classes, p) else LABEL_FULL
 
 
 def predicted_cofactor(family: str, p: int) -> FpPoly:
@@ -96,9 +96,9 @@ def predicted_cofactor(family: str, p: int) -> FpPoly:
     checks that constant on the unsigned truncation.
     """
     spec = get_family(family)
-    if spec.predicts_square(p):
+    if in_classes(spec.square_classes, p):
         return FpPoly.one(p)
-    return spec.cofactor_poly(p).monic()
+    return FpPoly(spec.cofactor_quad, p).monic()
 
 
 # -- involution constants ---------------------------------------------------------
@@ -124,7 +124,7 @@ def involution_analysis(family: str, p: int) -> InvolutionReport:
     """The involution constants admissible at p; ``case`` names how many
     there are (NONE / ONE / BOTH)."""
     spec = get_family(family)
-    need_square = spec.u_required_square(p)
+    need_square = in_classes(spec.u_square_classes, p)
     u0 = spec.u_num * inv_mod(spec.u_den, p) % p
     admissible = tuple(
         sign for sign in (1, -1)
@@ -149,21 +149,6 @@ class KummerReport:
 
     def __bool__(self):
         return self.ok
-
-
-def kummer_mismatch(cs, p: int) -> int | None:
-    """The first index i with cs[i] != (A * f(t^p))[i], or None, for the
-    series f with coefficients cs and A its first p coefficients.
-
-    Frobenius turns f^p into f(t^p) exactly in characteristic p, so
-    f = A * f^p is one convolution.
-    """
-    n = len(cs)
-    frob = [0] * n
-    for i in range(0, n, p):
-        frob[i] = cs[i // p]
-    rhs = kernels.series_mul(list(cs[:p]), frob, n, p)
-    return next((i for i in range(n) if cs[i] != rhs[i]), None)
 
 
 def verify_kummer_relation(seq: SequenceSpec, p: int, precision: int | None = None) -> KummerReport:

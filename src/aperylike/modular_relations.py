@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import IdentityViolationError
-from .families import get_family
+from .families import get_family, in_classes
 from .fp_poly import FpPoly
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
-from .kummer_galois import kummer_mismatch
-from .sequences import CATALOG, coefficients_mod_p, truncation_poly
+from .sequences import CATALOG, coefficients_mod_p, kummer_mismatch, truncation_poly
 
 
 def franel_truncation(p: int) -> FpPoly:
@@ -39,7 +38,8 @@ def verify_ode(p: int) -> bool:
 
 
 def verify_sigma_twist(family: str, p: int) -> int:
-    """Sign s in H = s * sigma(H) * w^(p-1); checked against the mod-6 rule.
+    """Sign s in H = s * sigma(H) * w^(p-1); checked against the family's
+    ``twist_plus_classes`` (the mod-6 rule for apery and domb, +1 for az).
 
     The twist is H(num/den) cleared by den^(p-1).  The factor w is den up to
     a constant, whose (p-1)-th power is 1 by Fermat, so den^(p-1) = w^(p-1)
@@ -47,7 +47,7 @@ def verify_sigma_twist(family: str, p: int) -> int:
     """
     spec = get_family(family)
     h = franel_truncation(p)
-    twisted = h.substitute_rational(spec.sigma_num_poly(p), spec.sigma_den_poly(p))
+    twisted = h.substitute_rational(FpPoly(spec.sigma_num, p), FpPoly(spec.sigma_den, p))
     if twisted == h:
         sign = 1
     elif twisted == -h:
@@ -55,7 +55,7 @@ def verify_sigma_twist(family: str, p: int) -> int:
     else:
         raise IdentityViolationError(
             f"{family} twist at p={p}: transform is not +/-H")
-    if sign != spec.twist_sign(p):
+    if sign != (1 if in_classes(spec.twist_plus_classes, p) else -1):
         raise IdentityViolationError(
             f"{family} twist at p={p}: sign {sign} contradicts the mod-6 rule")
     return sign
@@ -109,7 +109,7 @@ def verify_H_power_identity(p: int, precision: int | None = None,
     with H the first p coefficients of h:
 
     * H * h^(p-1) = 1, checked as h = H * h(x^p) (Frobenius: h^p = h(x^p))
-      by ``kummer_galois.kummer_mismatch``;
+      by ``sequences.kummer_mismatch``;
     * H = (1-2x)^(p-1) * G(y(x)) with G the order-p truncation of the Gauss
       series, checked as H = (1-2x^p) * s for s of ``gauss_link``, since
       (1-2x)^(p-1) = (1-2x)^p * lambda and (1-2x)^p = 1-2x^p over F_p.
@@ -135,18 +135,18 @@ class SubstitutionResult:
 def verify_substitution(family: str, p: int, precision: int = 60) -> SubstitutionResult:
     """Check f(t(x)) = rho(x) h(x)^2 to order N.
 
-    For the Domb family both signs of t(x) are attempted and the validating
-    one is reported; the alternating catalog convention validates +.
+    The signs of t(x) in the family's ``t_signs`` are tried in order and the
+    validating one is reported; Domb tries both, and its alternating catalog
+    convention validates +.
     Raises IdentityViolationError when no sign works.
     """
     spec = get_family(family)
     n = precision
     f = FpSeries(coefficients_mod_p(CATALOG[family], n, p), p, _trusted=True)
     h = franel_series(p, n)
-    rhs = FpSeries.from_poly(spec.rho_poly(p), n) * h * h
-    t_series = expand_rational(spec.t_num_poly(p), spec.t_den_poly(p), n)
-    signs = (1, -1) if family == "domb" else (1,)
-    for sign in signs:
+    rhs = FpSeries.from_poly(FpPoly(spec.rho, p), n) * h * h
+    t_series = expand_rational(FpPoly(spec.t_num, p), FpPoly(spec.t_den, p), n)
+    for sign in spec.t_signs:
         inner = t_series if sign == 1 else -t_series
         if f.compose(inner) == rhs:
             return SubstitutionResult(family=family, p=p, precision=n, sign=sign)
@@ -177,19 +177,19 @@ def verify_quadratic(family: str, p: int) -> QuadraticCheck:
     All identities are denominator-cleared polynomial identities in x.
     """
     spec = get_family(family)
-    qa, qb, qc = spec.quad_polys(p)
-    tn, td = spec.t_num_poly(p), spec.t_den_poly(p)
+    qa, qb, qc = (FpPoly(q, p) for q in (spec.quad_a, spec.quad_b, spec.quad_c))
+    tn, td = FpPoly(spec.t_num, p), FpPoly(spec.t_den, p)
     d = max(int(q.degree) for q in (qa, qb, qc) if q)
     # t_den^d * q(t(x)) as polynomials in x
     ca, cb, cc = (q.substitute_rational(tn, td, d) for q in (qa, qb, qc))
     x = FpPoly((0, 1), p)
     x_solves = not (ca * x * x + cb * x + cc)
 
-    sn, sd = spec.sigma_num_poly(p), spec.sigma_den_poly(p)
+    sn, sd = FpPoly(spec.sigma_num, p), FpPoly(spec.sigma_den, p)
     sigma_solves = not (ca * sn * sn + cb * sn * sd + cc * sd * sd)
 
     disc = qb * qb - 4 * (qa * qc)
-    target = spec.cofactor_poly(p)
+    target = FpPoly(spec.cofactor_quad, p)
     mirror = FpPoly([c if i % 2 == 0 else -c for i, c in enumerate(spec.cofactor_quad)], p)
     if disc == target:
         disc_sign = 1
@@ -212,7 +212,7 @@ def _compose_sigma(num: FpPoly, den: FpPoly, sn: FpPoly, sd: FpPoly) -> tuple[Fp
 def verify_sigma_involution(family: str, p: int) -> bool:
     """sigma(sigma(x)) = x as a cleared polynomial identity."""
     spec = get_family(family)
-    sn, sd = spec.sigma_num_poly(p), spec.sigma_den_poly(p)
+    sn, sd = FpPoly(spec.sigma_num, p), FpPoly(spec.sigma_den, p)
     n2, d2 = _compose_sigma(sn, sd, sn, sd)
     x = FpPoly((0, 1), p)
     return n2 == x * d2
@@ -221,7 +221,7 @@ def verify_sigma_involution(family: str, p: int) -> bool:
 def verify_t_fixed_by_sigma(family: str, p: int) -> bool:
     """t(sigma(x)) = t(x) as a cleared polynomial identity."""
     spec = get_family(family)
-    tn, td = spec.t_num_poly(p), spec.t_den_poly(p)
-    n2, d2 = _compose_sigma(tn, td, spec.sigma_num_poly(p), spec.sigma_den_poly(p))
+    tn, td = FpPoly(spec.t_num, p), FpPoly(spec.t_den, p)
+    n2, d2 = _compose_sigma(tn, td, FpPoly(spec.sigma_num, p), FpPoly(spec.sigma_den, p))
     # t(sigma) = n2/d2; equality with tn/td as rational functions
     return n2 * td == d2 * tn

@@ -147,17 +147,6 @@ class AlwaysTrue:
         return {"kind": "always"}
 
 
-def classifier_from_json(data: dict):
-    kind = data["kind"]
-    if kind == "legendre":
-        return LegendreProfile(tuple((int(d), int(e)) for d, e in data["symbols"]))
-    if kind == "congruence":
-        return CongruenceClass(int(data["modulus"]), tuple(int(r) for r in data["residues"]))
-    if kind == "always":
-        return AlwaysTrue()
-    raise ValueError(f"unknown classifier kind {kind!r}")
-
-
 # -- clustering --------------------------------------------------------------------
 
 
@@ -316,6 +305,26 @@ def _assign(clusters: list[Cluster], classifiers: list) -> tuple[bool, dict, lis
     return True, assignment, sorted(ramified)
 
 
+def _trials(clusters: list[Cluster], level: int | None):
+    """The classifier lists ``infer_conditions`` tries, one per cluster each,
+    made one at a time in search order: single Legendre symbols (up to two
+    clusters), pairs of symbols (up to four), then the congruence classes
+    modulo each of DEFAULT_MODULI whose residue sets are disjoint."""
+    singles = _candidate_singles(level)
+    if len(clusters) <= 2:
+        for d in singles:
+            yield [LegendreProfile(((d, 1),)), LegendreProfile(((d, -1),))]
+    if len(clusters) <= 4:
+        for i, d1 in enumerate(singles):
+            for d2 in singles[i + 1:]:
+                yield [LegendreProfile(((d1, e1), (d2, e2)))
+                       for e1 in (1, -1) for e2 in (1, -1)]
+    for m in DEFAULT_MODULI:
+        classes = [{p % m for p in cl.primes} for cl in clusters]
+        if sum(map(len, classes)) == len(set().union(*classes)):
+            yield [CongruenceClass(m, tuple(sorted(rs))) for rs in classes]
+
+
 def infer_conditions(
     seq_key: str,
     clusters: list[Cluster],
@@ -339,37 +348,9 @@ def infer_conditions(
         return PatternReport(seq_key, lo, hi, good, (entry,),
                              unmatched=tuple(unmatched))
 
-    singles = _candidate_singles(level)
-    trials: list[list] = []
-    if len(clusters) <= 2:
-        for d in singles:
-            trials.append([LegendreProfile(((d, 1),)), LegendreProfile(((d, -1),))])
-    if len(clusters) <= 4:
-        for i, d1 in enumerate(singles):
-            for d2 in singles[i + 1:]:
-                trials.append([
-                    LegendreProfile(((d1, e1), (d2, e2)))
-                    for e1 in (1, -1) for e2 in (1, -1)
-                ])
-    for m in DEFAULT_MODULI:
-        residues: dict[int, set[int]] = {}
-        ok = True
-        for cl in clusters:
-            rs = {p % m for p in cl.primes}
-            for prev in residues.values():
-                if rs & prev:
-                    ok = False
-                    break
-            if not ok:
-                break
-            residues[id(cl)] = rs
-        if ok:
-            trials.append([CongruenceClass(m, tuple(sorted(residues[id(cl)])))
-                           for cl in clusters])
-
-    best_entries = None
-    for classifiers in trials:
-        exact, assignment, ramified = _assign(clusters, list(classifiers))
+    first = None
+    for classifiers in _trials(clusters, level):
+        exact, assignment, ramified = _assign(clusters, classifiers)
         if exact:
             entries = tuple(
                 ClusterReport(cl.coeffs, cl.normalization, assignment[cl.key],
@@ -378,12 +359,12 @@ def infer_conditions(
             )
             return PatternReport(seq_key, lo, hi, good, entries,
                                  ramified=tuple(ramified), unmatched=tuple(unmatched))
-        if best_entries is None:
-            best_entries = classifiers
+        if first is None:
+            first = classifiers
     # unresolved: report the first-tried classifier family with its exceptions
     entries = []
     for idx, cl in enumerate(clusters):
-        cand = best_entries[idx] if best_entries and idx < len(best_entries) else None
+        cand = first[idx] if first and idx < len(first) else None
         exceptions = tuple(p for p in cl.primes if cand and cand.matches(p) is False)
         entries.append(ClusterReport(cl.coeffs, cl.normalization, cand,
                                      cl.primes, exceptions))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
+from . import kernels
 from ._record import record
 from .errors import BFileError
 from .finite_field import digit_binomial
@@ -147,11 +148,11 @@ class CoefficientTable:
         return _limbs_mod(self.limbs[n], _LIMB % p, p)
 
     def residues(self, count: int, p: int) -> list[int]:
-        """The first ``count`` values mod p."""
+        """The first ``count`` values mod p (none when count <= 0)."""
         if count > len(self.limbs):
             raise ValueError(f"{self.key} has {len(self.limbs)} terms; need {count}")
         r = _LIMB % p
-        return [_limbs_mod(limbs, r, p) for limbs in self.limbs[:count]]
+        return [_limbs_mod(limbs, r, p) for limbs in self.limbs[:max(count, 0)]]
 
     def _check(self, n: int) -> None:
         if n >= len(self.limbs):
@@ -449,26 +450,46 @@ class LucasReport:
         return self.ok
 
 
+def kummer_mismatch(cs, p: int, start: int = 0) -> int | None:
+    """The first index i >= start with cs[i] != (A * f(t^p))[i], or None, for
+    the series f with coefficients cs and A its first p coefficients.
+
+    Frobenius turns f^p into f(t^p) exactly in characteristic p, so
+    f = A * f^p is one convolution.  Its coefficient i is
+    cs[i mod p] * cs[i div p], since t^(kp) with k = i div p is the one
+    power of t^p that meets A's degrees below p.
+    """
+    n = len(cs)
+    frob = [0] * n
+    for i in range(0, n, p):
+        frob[i] = cs[i // p]
+    rhs = kernels.series_mul(list(cs[:p]), frob, n, p)
+    return next((i for i in range(start, n) if cs[i] != rhs[i]), None)
+
+
 def verify_lucas_property(seq: SequenceSpec, p: int, digit_levels: int = 1) -> LucasReport:
-    """Check a_(np+l) = a_n * a_l mod p digit by digit.
+    """Check a_(np+l) = a_n * a_l mod p for every index np + l >= p below
+    p^(digit_levels+1) (and below the size of an external table).
 
     Level 1 checks all n, l < p (indices below p^2); level 2 extends n to
-    p^2 (indices below p^3).  Returns the first counterexample instead of
-    raising, since external tables are allowed to fail.
+    p^2 (indices below p^3).  The check is ``kummer_mismatch`` from index p
+    on, the convolution that ``verify kummer`` runs.  It finds the same first
+    counterexample as the definition, a_i = the product of a_d over the
+    base-p digits d of i.  By induction on i >= p: if every a_m with
+    p <= m < i equals its digit product, then so does a_n with n = i div p
+    (for n < p that product is a_n itself), and the digit product of i is
+    a_l times that of n, l = i mod p; so a_i differs from it exactly when
+    a_i != a_n * a_l.  Indices below p are not checked, so a table with
+    a_0 != 1 is judged only from index p on.  Returns the first
+    counterexample (n, l) instead of raising, since external tables are
+    allowed to fail.
     """
     if digit_levels < 1:
         raise ValueError("digit_levels must be >= 1")
     count = p ** (digit_levels + 1)
     if seq.terms.size is not None:
         count = min(count, seq.terms.size)
-    vals = coefficients_mod_p(seq, count, p)
-    for idx in range(p, count):
-        n, l = divmod(idx, p)
-        expected = 1
-        m = idx
-        while m:
-            expected = expected * vals[m % p] % p
-            m //= p
-        if vals[idx] != expected:
-            return LucasReport(seq.key, p, False, (n, l))
-    return LucasReport(seq.key, p, True)
+    i = kummer_mismatch(coefficients_mod_p(seq, count, p), p, start=p)
+    if i is None:
+        return LucasReport(seq.key, p, True)
+    return LucasReport(seq.key, p, False, divmod(i, p))

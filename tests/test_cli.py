@@ -40,6 +40,18 @@ class TestExitCodes:
             main(["bogus-command"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("truncate", "--seq", "@{missing}", "--prime", "5"),
+        ("verify", "lucas", "--seq", "@{dir}", "--prime", "5"),
+        ("mine", "--seq", "apery", "--primes", "5..20", "--threads", "1",
+         "--cache", "{dir}"),
+    ])
+    def test_unreadable_path_is_2(self, capsys, tmp_path, argv):
+        paths = {"missing": tmp_path / "missing.b", "dir": tmp_path}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_prime_and_primes_conflict(self, capsys):
         code, _, _ = run(capsys, "galois", "--seq", "apery",
                          "--prime", "7", "--primes", "5..20")

@@ -5,7 +5,7 @@ import pytest
 from aperylike.errors import UnsupportedPrimeError
 from aperylike.finite_field import (binomial_lucas, check_prime,
                                     factorial_tables, inv_mod, is_prime,
-                                    legendre, mult_order, sqrt_mod)
+                                    legendre, mult_order)
 from tests.conftest import primes_between
 
 
@@ -52,25 +52,12 @@ class TestLegendre:
                 assert legendre(a, p) == want
 
 
-class TestSqrtMod:
-    def test_roundtrip_and_choice(self):
-        for p in primes_between(5, 101):
-            for a in range(p):
-                r = sqrt_mod(a, p)
-                if legendre(a, p) == -1:
-                    assert r is None
-                else:
-                    assert r is not None and r * r % p == a
-                    assert r <= (p - 1) // 2 or a == 0
-
-
 @pytest.mark.parametrize("p", [2, 3] + primes_between(5, 113))
 def test_quadratic_character_brute_force(p):
-    # 2 and 3 are below the range check_prime accepts, but both functions accept them
+    # 2 and 3 are below the range check_prime accepts, but legendre accepts them
     for a in range(p):
         roots = [r for r in range(p) if r * r % p == a]
         assert legendre(a, p) == (0 if a == 0 else 1 if roots else -1)
-        assert sqrt_mod(a, p) == (min(roots) if roots else None)
 
 
 class TestMultOrder:

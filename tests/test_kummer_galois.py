@@ -180,6 +180,15 @@ class TestPredictions:
         assert predicted_group("az", 11) == "S"
         assert predicted_group("domb", 7) == "S"
 
+    def test_square_classes_as_stated(self):
+        # the paper's square classes, written out per family
+        stated = {"apery": lambda p: p % 24 in (1, 5, 7, 11),
+                  "domb": lambda p: p % 6 == 1,
+                  "az": lambda p: p % 8 in (1, 3)}
+        for p in primes_between(5, 5000):
+            for family, square in stated.items():
+                assert (predicted_group(family, p) == "S") == square(p), (family, p)
+
     def test_cofactor_examples(self):
         assert predicted_cofactor("apery", 13) == FpPoly([1, 5, 1], 13)
         assert predicted_cofactor("domb", 7) == FpPoly.one(7)

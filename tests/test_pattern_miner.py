@@ -10,7 +10,7 @@ from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import GaloisResult, TruncationRecord, compute_record
 from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
                                      LegendreProfile, LiftedCofactor,
-                                     classifier_from_json, cluster_records,
+                                     cluster_records,
                                      infer_conditions, lift_cofactor, mine,
                                      poly_str, primes_in_range, read_cache,
                                      records, report_table, sweep)
@@ -64,10 +64,12 @@ class TestClassifiers:
         cls = CongruenceClass(24, (1, 5, 7, 11))
         assert cls.matches(29) is True and cls.matches(13) is False
 
-    def test_json_roundtrip(self):
-        for cls in (LegendreProfile(((-3, 1), (-6, -1))),
-                    CongruenceClass(8, (1, 3)), AlwaysTrue()):
-            assert classifier_from_json(cls.to_json()) == cls
+    def test_to_json(self):
+        assert LegendreProfile(((-3, 1), (-6, -1))).to_json() == {
+            "kind": "legendre", "symbols": [[-3, 1], [-6, -1]]}
+        assert CongruenceClass(8, (1, 3)).to_json() == {
+            "kind": "congruence", "modulus": 8, "residues": [1, 3]}
+        assert AlwaysTrue().to_json() == {"kind": "always"}
 
 
 def _fake_record(p, cofactor_ints):
@@ -121,6 +123,26 @@ class TestInference:
             for p in cl.primes:
                 assert cl.classifier.matches(p) is True
                 assert (p % 24 in (1, 5, 7, 11)) == s_cluster
+
+    def test_trials_built_on_demand(self, monkeypatch):
+        # (-3/p) separates the two clusters, so the search stops at that single
+        # symbol and builds none of the pairs
+        made = []
+
+        class Counted(LegendreProfile):
+            def __init__(self, symbols):
+                made.append(symbols)
+                super().__init__(symbols)
+
+        monkeypatch.setattr(pattern_miner, "LegendreProfile", Counted)
+        ps = primes_in_range(5, 200)
+        records = [_fake_record(p, [1] if p % 3 == 1 else [1, 1]) for p in ps]
+        clusters, unmatched = cluster_records(records)
+        report = infer_conditions("fake", clusters, unmatched, 5, 200)
+        assert report.status == "VALIDATED"
+        assert [cl.classifier.symbols for cl in report.clusters] == [((-3, 1),), ((-3, -1),)]
+        assert made[-2:] == [((-3, 1),), ((-3, -1),)]
+        assert all(len(symbols) == 1 for symbols in made)
 
     def test_no_clusters_unresolved(self):
         # nothing was mined, so nothing was validated

@@ -142,6 +142,8 @@ class TestModP:
                 want = [term_exact(spec, n) % p for n in range(2 * p)]
                 assert coefficients_mod_p(spec, 2 * p, p) == want, (spec.key, p)
                 assert [term_mod_p(spec, n, p) for n in range(2 * p)] == want, (spec.key, p)
+                for count in (-1, 0):
+                    assert coefficients_mod_p(spec, count, p) == [], (spec.key, p, count)
         for call, text in [(lambda: term_exact(table, 26), "index 26 out of range"),
                            (lambda: term_mod_p(table, 26, 13), "index 26 out of range"),
                            (lambda: coefficients_mod_p(table, 27, 13), "need 27")]:
@@ -210,6 +212,47 @@ class TestLucasProperty:
         n, l = report.counterexample
         vals = spec.terms.residues(spec.terms.size, 7)
         assert vals[n * 7 + l] != vals[n] * vals[l] % 7
+
+
+def _lucas_by_digits(seq, p, digit_levels):
+    """The p-Lucas property by its definition: a_i against the product of
+    a_d over the base-p digits d of i, for every index i >= p in the range
+    verify_lucas_property checks; the first failure as (i div p, i mod p)."""
+    count = p ** (digit_levels + 1)
+    if seq.terms.size is not None:
+        count = min(count, seq.terms.size)
+    vals = coefficients_mod_p(seq, count, p)
+    for idx in range(p, count):
+        expected = 1
+        m = idx
+        while m:
+            expected = expected * vals[m % p] % p
+            m //= p
+        if vals[idx] != expected:
+            return False, divmod(idx, p)
+    return True, None
+
+
+class TestLucasAgainstDigitProducts:
+    # Apery b-files of p^3 terms with a(0) replaced and one value made wrong
+    # (none, one below p, two between p and p^2, one past p^2 that only
+    # level 2 reaches); a(0) != 1 changes the digit products of every index
+    # with a zero digit
+    @pytest.mark.parametrize("a0", [1, 0, 2, 3])
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_first_counterexample(self, tmp_path, a0, p):
+        for planted in (None, 2, 2 * p + 3, p * p - 1, p * p + 2 * p + 1):
+            values = list(exact_terms("apery")[:p ** 3])
+            values[0] = a0
+            if planted is not None:
+                values[planted] += 1
+            path = tmp_path / f"apery-{a0}-{planted}.b"
+            path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values)))
+            spec = load_external(path)
+            for levels in (1, 2):
+                report = verify_lucas_property(spec, p, digit_levels=levels)
+                want = _lucas_by_digits(spec, p, levels)
+                assert (report.ok, report.counterexample) == want, (a0, planted, levels)
 
 
 class TestExternal:
