@@ -7,8 +7,7 @@ algebraic identities linking each family to the Franel square, and mines
 quadratic-residue / congruence classifiers of the cofactors P across prime
 ranges.
 """
-from .errors import (BFileError, IdentityViolationError, ReconstructionError,
-                     UnsupportedPrimeError)
+from .errors import BFileError, IdentityViolationError, UnsupportedPrimeError
 from .families import FAMILIES, FamilySpec
 from .finite_field import (binomial_lucas, check_prime, factorial_tables,
                            inv_mod, is_prime, legendre, mult_order)
@@ -18,7 +17,7 @@ from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,
                             TruncationRecord, certify, compute_record,
                             galois_degree, involution_analysis,
                             predicted_cofactor, predicted_group,
-                            rational_kummer_cofactor, verify_kummer_relation)
+                            verify_kummer_relation)
 from .sequences import (CATALOG, LucasReport, SequenceSpec, coefficients_mod_p,
                         generalized, get_sequence, load_external, term_exact,
                         term_mod_p, truncation_poly, verify_lucas_property)

@@ -86,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=_order, default=None,
                     help="series precision for series-based checks, at least 1 "
                          "(default 100, or 3p for the kummer check, which needs "
-                         "more than p; the 2F1 link check caps it at p-1)")
+                         "more than p; the 2F1 link check caps it at p-1, and "
+                         "the power identity reads the Franel series to "
+                         "max(N, 2p))")
 
     sp = sub.add_parser("mine", help="sweep primes, cluster cofactors, infer classifiers")
     add_common(sp, prime=False)
@@ -104,12 +106,15 @@ def _primes_for(args) -> list[int]:
     if args.prime is not None:
         return [check_prime(args.prime)]
     if args.primes is not None:
-        lo, hi = args.primes
-        primes = primes_in_range(lo, hi)
-        if not primes:
-            raise UsageError(f"--primes {lo}..{hi} holds no prime >= 5")
-        return primes
+        return _range_primes(*args.primes)
     raise UsageError("one of --prime / --primes is required")
+
+
+def _range_primes(lo: int, hi: int) -> list[int]:
+    primes = primes_in_range(lo, hi)
+    if not primes:
+        raise UsageError(f"--primes {lo}..{hi} holds no prime >= 5")
+    return primes
 
 
 class UsageError(Exception):
@@ -294,6 +299,7 @@ def _cmd_mine(args) -> int:
     if args.primes is None:
         raise UsageError("mine needs --primes LO..HI")
     lo, hi = args.primes
+    _range_primes(lo, hi)
     report = pattern_miner.mine(seq, lo, hi, cache_path=args.cache,
                                 threads=max(1, args.threads))
     sys.stdout.write(pattern_miner.report_table(report, args.format))

@@ -14,10 +14,6 @@ class IdentityViolationError(ArithmeticError):
     """
 
 
-class ReconstructionError(ValueError):
-    """Raised when rational reconstruction fails at the given degree bound."""
-
-
 class BFileError(ValueError):
     """Raised for malformed coefficient files; carries the offending line number."""
 

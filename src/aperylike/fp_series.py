@@ -136,16 +136,6 @@ class FpSeries:
         out = kernels.series_compose(self.coeffs[:relevant], inner.coeffs, n, p)
         return FpSeries(out, p, _trusted=True)
 
-    def substitute_power(self, k: int) -> "FpSeries":
-        """self(x^k) at the same precision; over F_p, self(x^p) equals self^p."""
-        n = len(self.coeffs)
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if i * k >= n:
-                break
-            out[i * k] = c
-        return FpSeries(out, self.p, _trusted=True)
-
     def sqrt_inv(self) -> "FpSeries":
         """g with g^2 * self = 1, normalized by g(0) = 1; needs self(0) = 1.
 

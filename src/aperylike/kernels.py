@@ -34,8 +34,7 @@ and 2x2 matrix products are one ``_muladd`` per entry.  Below the
 crossover they fall back to the quadratic loops ``divrem_classic`` and
 ``gcd_euclid``, which are also the oracles the fast paths are tested
 against.  Quotients, remainders and monic gcds are unique, so both paths
-return the same lists.  ``_hgcd`` is also the rational reconstruction of
-``kummer_galois.rational_kummer_cofactor``.
+return the same lists.
 
 Sequence truncations are not kernels: ``sequences.coefficients_mod_p`` steps
 the catalog recurrences mod p^N for every index.

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 
-from . import kernels
 from ._record import record
-from .errors import ReconstructionError
 from .families import FAMILIES, get_family, in_classes
 from .finite_field import check_prime, factorize, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
@@ -159,48 +157,6 @@ def verify_kummer_relation(seq: SequenceSpec, p: int, precision: int | None = No
     n = 3 * p if precision is None else precision
     i = kummer_mismatch(coefficients_mod_p(seq, n, p), p)
     return KummerReport(seq.key, p, i is None, i)
-
-
-# -- rational reconstruction ---------------------------------------------------------
-
-
-def rational_kummer_cofactor(f: FpSeries, degree_bound: int) -> tuple[FpPoly, FpPoly]:
-    """Recover A(t) = num/den with f = A * f(t^p), for deg num, deg den <= D.
-
-    With q = f / f(t^p), den * q = num mod x^(2D+2) is rational
-    reconstruction, which the extended Euclid of (x^(2D+2), q) solves: its
-    first remainder of degree <= D is num and the matching Bezout cofactor
-    of q is den (von zur Gathen-Gerhard, Modern Computer Algebra, 5.7-5.9),
-    both from one half-gcd ``kernels._hgcd``.  At every bound at or above
-    the degrees of A that pair is the reduced fraction (ibid., Thm 5.16),
-    normalized to den(0) = 1; it is checked against every further known
-    coefficient of q.  Raises ReconstructionError when no candidate at this
-    bound survives (callers may retry with a larger bound).
-    """
-    p = f.p
-    d = degree_bound
-    n = f.precision
-    if f.coeffs[0] == 0:
-        raise ValueError("series must have nonzero constant term")
-    if n < 2 * d + 2:
-        raise ValueError(f"precision {n} too small for degree bound {d} (need {2 * d + 2})")
-    q = (f * f.substitute_power(p).inv()).coeffs
-    # [x^(2D+2), q] -> [r_prev, num] with deg num <= D < deg r_prev
-    m, _, num = kernels._hgcd([0] * (2 * d + 2) + [1], kernels._trim(list(q[:2 * d + 2])), p)
-    den_poly = FpPoly(m[3], p, _trusted=True)
-    if den_poly[0] == 0 or den_poly.degree > d:
-        raise ReconstructionError(f"no reconstruction with unit denominator at bound {d}")
-    # normalize den(0) = 1
-    scale = inv_mod(den_poly[0], p)
-    den_poly = den_poly.scale(scale)
-    num_poly = FpPoly(num, p, _trusted=True).scale(scale)
-    # verify against all known coefficients of q
-    check = kernels.series_mul(list(q), list(den_poly.coeffs), n, p)
-    for i in range(n):
-        if check[i] != num_poly[i]:
-            raise ReconstructionError(
-                f"candidate at bound {d} fails verification at order {i}")
-    return num_poly, den_poly
 
 
 # -- per-prime records -----------------------------------------------------------

@@ -79,14 +79,16 @@ def _link_series(p: int, precision: int) -> tuple[FpSeries, FpSeries]:
 
 
 def gauss_link(p: int, n: int) -> tuple[FpSeries, FpSeries]:
-    """The pair (h, s) both checks of the Gauss link read, to n coefficients:
-    h the Franel series and s = lambda(x) * G(y(x)), with G the Gauss series
-    to min(n, p) coefficients (zero-padded to n) and y, lambda of
-    ``_link_series``.  Each is built once; a check at a lower precision
-    reads their prefixes."""
+    """The pair (h, s) both checks of the Gauss link read: h the Franel
+    series to max(n, 2p) coefficients, and s = lambda(x) * G(y(x)) to n,
+    with G the Gauss series to min(n, p) coefficients (zero-padded to n) and
+    y, lambda of ``_link_series``.  Below index p, h = H * h(x^p) holds for
+    any h with h(0) = 1, so h runs to 2p or more, where the Frobenius half of
+    ``verify_H_power_identity`` reads h[p + l] = h[1] * H[l] for every l < p.
+    Each series is built once; a check at a lower precision reads prefixes."""
     y, lam = _link_series(p, n)
     big_g = FpSeries.from_poly(FpPoly(hypergeometric_2f1(min(n, p), p).coeffs, p), n)
-    return franel_series(p, n), lam * big_g.compose(y)
+    return franel_series(p, max(n, 2 * p)), lam * big_g.compose(y)
 
 
 def verify_h_2f1_relation(p: int, precision: int = 100,
@@ -105,19 +107,22 @@ def verify_h_2f1_relation(p: int, precision: int = 100,
 
 def verify_H_power_identity(p: int, precision: int | None = None,
                             link: tuple[FpSeries, FpSeries] | None = None) -> bool:
-    """Two consequences of the Lucas structure of h, checked to order N >= p,
-    with H the first p coefficients of h:
+    """Two consequences of the Lucas structure of h, with N = max(p, precision)
+    and H the first p coefficients of h:
 
     * H * h^(p-1) = 1, checked as h = H * h(x^p) (Frobenius: h^p = h(x^p))
-      by ``sequences.kummer_mismatch``;
+      by ``sequences.kummer_mismatch`` on all of h, which ``gauss_link``
+      builds to max(N, 2p) coefficients: below index p the relation holds
+      for any h with h(0) = 1;
     * H = (1-2x)^(p-1) * G(y(x)) with G the order-p truncation of the Gauss
-      series, checked as H = (1-2x^p) * s for s of ``gauss_link``, since
-      (1-2x)^(p-1) = (1-2x)^p * lambda and (1-2x)^p = 1-2x^p over F_p.
+      series, checked as H = (1-2x^p) * s mod x^N for s of ``gauss_link``,
+      since (1-2x)^(p-1) = (1-2x)^p * lambda and (1-2x)^p = 1-2x^p over F_p.
 
     ``link`` may hold (h, s) at a precision of N or more.
     """
     n = max(p, precision or 0)
-    h, s = (f.truncate(n).coeffs for f in (link or gauss_link(p, n)))
+    h, s = link or gauss_link(p, n)
+    h, s = h.coeffs, s.truncate(n).coeffs
     if kummer_mismatch(h, p) is not None:
         return False
     rhs = tuple((c - 2 * s[i - p]) % p if i >= p else c for i, c in enumerate(s))

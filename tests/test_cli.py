@@ -6,6 +6,7 @@ import pytest
 
 from aperylike import cli, kernels, modular_relations
 from aperylike.cli import main
+from aperylike.fp_series import FpSeries
 from tests.conftest import exact_terms
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -113,11 +114,13 @@ class TestGalois:
         assert out.splitlines()[0] == "p,degree,label"
 
     def test_range_without_primes_is_2(self, capsys):
-        # a range with no prime >= 5 checks nothing, so it must not pass
-        code, out, err = run(capsys, "galois", "--seq", "apery",
-                             "--primes", "1..4", "--check-theorem")
-        assert code == 2 and out == ""
-        assert "1..4" in err
+        # a range with no prime >= 5 checks or mines nothing, so it must not
+        # pass; mine's empty range reads hi < lo
+        for argv in (("galois", "--seq", "apery", "--primes", "1..4", "--check-theorem"),
+                     ("mine", "--seq", "apery", "--primes", "5..4")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: --primes {argv[4]} holds no prime >= 5\n"
 
     def test_check_theorem_requires_family(self, capsys):
         code, _, _ = run(capsys, "galois", "--seq", "franel",
@@ -205,6 +208,19 @@ class TestVerify:
         assert code == 0 and out.count("PASS") == 4
         assert sorted(builds) == sorted(["_link_series", "hypergeometric_2f1",
                                          "franel_series"] * 4)
+
+    def test_hypergeometric_power_identity_reads_past_p(self, capsys, monkeypatch):
+        # at p = 101 the default order 100 gives N = p, where h = H * h(x^p)
+        # holds trivially; an error planted at index p + 10 must still fail
+        def planted(p, precision, _fn=modular_relations.franel_series):
+            cs = list(_fn(p, precision).coeffs)
+            if len(cs) > p + 10:
+                cs[p + 10] += 1
+            return FpSeries(cs, p)
+        monkeypatch.setattr(modular_relations, "franel_series", planted)
+        code, out, _ = run(capsys, "verify", "hypergeometric", "--prime", "101")
+        assert code == 1
+        assert out == "hypergeometric p=101: FAIL link=True power=False\n"
 
     def test_hypergeometric_one_composition_no_inverse(self, capsys, monkeypatch):
         # per prime: one composition, for s of the link, and no series inverse

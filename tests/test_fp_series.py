@@ -155,14 +155,6 @@ class TestSqrt:
             assert s == f * f.sqrt_inv()
 
 
-class TestSubstitutePower:
-    def test_frobenius_matches_pth_power(self, rng):
-        p = 7
-        n = 30
-        f = S([rng.randrange(p) for _ in range(n)], p)
-        assert f.substitute_power(p) == f.pow_int(p)
-
-
 class TestPowInt:
     @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (13, 5)])
     def test_makes_only_the_products_it_needs(self, monkeypatch, k, products):

@@ -1,16 +1,13 @@
 import pytest
 
 from aperylike import kummer_galois
-from aperylike.errors import ReconstructionError
 from aperylike.finite_field import mult_order
 from aperylike.fp_poly import FpPoly, SquareCofactor
-from aperylike.fp_series import FpSeries, expand_rational
 from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
                                      GaloisResult, certify,
                                      compute_record, galois_degree,
                                      involution_analysis,
                                      predicted_cofactor, predicted_group,
-                                     rational_kummer_cofactor,
                                      verify_kummer_relation)
 from aperylike.sequences import CATALOG, coefficients_mod_p, load_external
 from tests.conftest import primes_between, random_poly, random_squarefree
@@ -230,70 +227,6 @@ class TestInvolutionCases:
             for p in primes_between(5, 199):
                 report = involution_analysis(family, p)
                 assert report.fixing_admissible == (predicted_group(family, p) == "S")
-
-
-class TestRationalReconstruction:
-    def test_lucas_input_degenerates(self):
-        p = 7
-        f = FpSeries(coefficients_mod_p(CATALOG["apery"], 40, p), p)
-        num, den = rational_kummer_cofactor(f, 6)
-        assert den == FpPoly.one(p)
-        assert num == FpPoly(coefficients_mod_p(CATALOG["apery"], p, p), p)
-
-    def test_synthetic_rational(self):
-        p = 7
-        n = 45
-        r = expand_rational(FpPoly([1, 1], p), FpPoly([1, 2], p), n)
-        f = r * r.substitute_power(p) * r.substitute_power(p * p)
-        num, den = rational_kummer_cofactor(f, 1)
-        assert num == FpPoly([1, 1], p)
-        assert den == FpPoly([1, 2], p)
-
-    def test_bound_too_low(self):
-        p = 7
-        n = 45
-        r = expand_rational(FpPoly([1, 1], p), FpPoly([1, 2], p), n)
-        f = r * r.substitute_power(p) * r.substitute_power(p * p)
-        with pytest.raises(ReconstructionError):
-            rational_kummer_cofactor(f, 0)
-
-    def test_insufficient_precision(self):
-        p = 7
-        f = FpSeries(coefficients_mod_p(CATALOG["apery"], 10, p), p)
-        with pytest.raises(ValueError):
-            rational_kummer_cofactor(f, 6)
-
-    def test_higher_bound_still_correct(self):
-        # overshoot: the minimal (num, den) should reappear up to the forced
-        # normalization den(0)=1
-        p = 11
-        n = 80
-        r = expand_rational(FpPoly([1, 0, 3], p), FpPoly([1, 4], p), n)
-        f = r * r.substitute_power(p)
-        num, den = rational_kummer_cofactor(f, 4)
-        assert num * FpPoly([1, 4], p) == den * FpPoly([1, 0, 3], p)
-
-    def test_candidate_checked_past_the_pade_window(self):
-        # A = 1/(1 - t^4): q = 1 mod x^4, so bound 1 reconstructs 1/1 from
-        # the first 4 coefficients, and only q[4] = 1 rejects it
-        p = 7
-        n = 45
-        den = FpPoly([1, 0, 0, 0, -1], p)
-        r = expand_rational(FpPoly.one(p), den, n)
-        f = r * r.substitute_power(p) * r.substitute_power(p * p)
-        with pytest.raises(ReconstructionError, match="order 4"):
-            rational_kummer_cofactor(f, 1)
-        assert rational_kummer_cofactor(f, 4) == (FpPoly.one(p), den)
-
-    @pytest.mark.parametrize("num, den", [([1, 1], [1]), ([1, 1], [1, 2])])
-    def test_overshoot_returns_reduced_pair(self, num, den):
-        # bound 2 is above both degrees; the answer is still the reduced
-        # fraction with den(0) = 1
-        p = 7
-        n = 45
-        r = expand_rational(FpPoly(num, p), FpPoly(den, p), n)
-        f = r * r.substitute_power(p) * r.substitute_power(p * p)
-        assert rational_kummer_cofactor(f, 2) == (FpPoly(num, p), FpPoly(den, p))
 
 
 class TestRecordSerialization:

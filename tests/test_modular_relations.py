@@ -130,7 +130,7 @@ class TestHPower:
     def test_perturbed_H_fails(self):
         p, n = 11, 30
         h = franel_series(p, n)
-        h_pow = h.substitute_power(p) * h.inv()
+        h_pow = h.pow_int(p - 1)
         bad = FpSeries.from_poly(franel_truncation(p) + FpPoly((0, 1), p), n)
         assert bad * h_pow != FpSeries.one(p, n)
 

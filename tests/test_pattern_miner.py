@@ -416,6 +416,27 @@ class TestRecords:
         assert len(calls) <= 1
         assert len(capsys.readouterr().out.splitlines()) == len(primes_in_range(71, 350))
 
+    # the squarefree decompositions `records` makes over the 93 primes in 5..500,
+    # one per prime it cannot certify from P = 1 or a learned lift; franel's
+    # B = 1, so it never learns one and decomposes at every prime
+    DECOMPOSITIONS = {"apery": 11, "domb": 16, "az": 20, "franel": 93, "a229111": 30,
+                      "a290575": 9, "a290576": 8, "a274786": 12, "a181418": 22,
+                      "a183204": 8, "a005260": 12}
+
+    @pytest.mark.parametrize("key", sorted(DECOMPOSITIONS))
+    def test_decompositions_do_not_rise(self, monkeypatch, key):
+        assert set(self.DECOMPOSITIONS) == set(CATALOG)
+        calls = []
+        original = FpPoly.squarefree_decomposition
+
+        def counting(self):
+            calls.append(self.p)
+            return original(self)
+
+        monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
+        records(CATALOG[key], primes_in_range(5, 500))
+        assert len(calls) <= self.DECOMPOSITIONS[key]
+
 
 class TestDeterminism:
     def test_threads_do_not_change_output(self, tmp_path):

@@ -8,11 +8,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from aperylike import kernels  # noqa: E402
-from aperylike.errors import ReconstructionError  # noqa: E402
-from aperylike.finite_field import inv_mod, is_prime  # noqa: E402
-from aperylike.fp_poly import FpPoly, gcd, mul_schoolbook  # noqa: E402
-from aperylike.fp_series import expand_rational  # noqa: E402
-from aperylike.kummer_galois import rational_kummer_cofactor  # noqa: E402
+from aperylike.finite_field import is_prime  # noqa: E402
+from aperylike.fp_poly import FpPoly, mul_schoolbook  # noqa: E402
 from aperylike.sequences import (CATALOG, LIMB_DIGITS, coefficients_mod_p,  # noqa: E402
                                 load_external, term_exact, term_mod_p)
 from tests.conftest import EXACT_LAST, exact_terms  # noqa: E402
@@ -237,34 +234,6 @@ def test_substitute_rational_matches_definition(p, seed):
     v = _poly(rnd, p, rnd.randint(1, 3))
     got = FpPoly(cs, p).substitute_rational(FpPoly(u, p), FpPoly(v, p), degree)
     assert list(got.coeffs) == _cleared_by_definition(cs, u, v, degree, p)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(p=st.one_of(st.sampled_from(WIDE_PRIMES), st.sampled_from(PRIMES)),
-       seed=st.integers(0, 2 ** 32))
-def test_rational_reconstruction_is_reduced(p, seed):
-    # A = u/v reduced with A(0) = 1, as f = A f(t^p) forces, and
-    # D = max(deg u, deg v) up to 49, so that from D = 31 on 2D+2 > 64 and
-    # the recursive half-gcd runs; every bound from D to D+3 gives the
-    # reduced pair with den(0) = 1, and D-1 gives none
-    rnd = random.Random(seed)
-    u, v = (FpPoly([rnd.randrange(1, p)] + _poly(rnd, p, rnd.randint(1, 50))[1:], p)
-            for _ in range(2))
-    g = gcd(u, v)
-    u, v = u // g, v // g
-    d = max(u.degree, v.degree)
-    assume(d >= 1)
-    u, v = u.scale(inv_mod(u[0], p)), v.scale(inv_mod(v[0], p))
-    # f = prod_k A(t^(p^k)) to the precision n
-    n = 2 * d + 10
-    r = expand_rational(u, v, n)
-    f, k = r, p
-    while k < n:
-        f, k = f * r.substitute_power(k), k * p
-    for bound in range(d, d + 4):
-        assert rational_kummer_cofactor(f, bound) == (u, v)
-    with pytest.raises(ReconstructionError):
-        rational_kummer_cofactor(f, d - 1)
 
 
 K = LIMB_DIGITS
