@@ -50,13 +50,6 @@ class FpPoly:
     def constant(cls, c: int, p: int) -> "FpPoly":
         return cls((c,), p)
 
-    @classmethod
-    def monomial(cls, k: int, p: int, c: int = 1) -> "FpPoly":
-        c = int(c) % p
-        if c == 0:
-            return cls.zero(p)
-        return cls((0,) * k + (c,), p, _trusted=True)
-
     # -- basics ----------------------------------------------------------------
     @property
     def degree(self):

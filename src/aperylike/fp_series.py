@@ -34,10 +34,6 @@ class FpSeries:
     def one(cls, p: int, precision: int) -> "FpSeries":
         return cls((1,) + (0,) * (precision - 1), p, _trusted=True)
 
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs)
-
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
 

@@ -6,8 +6,8 @@ A_p in F_p(t)^x modulo (p-1)-th powers.  That order depends only on the
 leading constant and on the gcd of the multiplicities of A_p.
 
 ``compute_record`` reads both, and the factorization A_p = c * P * B^2, off
-the squarefree decomposition.  ``certify`` proves a guessed cofactor P
-instead: B is a series square root checked by re-expansion, and the
+the squarefree decomposition, unless ``certify`` proves a guessed cofactor
+P: B is then a series square root checked by re-expansion, and the
 multiplicity gcd follows from gcd(P, B) = 1 when P != 1, and from witness
 points showing B is no l-th power when P = 1.
 """
@@ -313,9 +313,25 @@ def certify(a: FpPoly, cofactor: FpPoly,
     return fact, GaloisResult.from_exponents(p, c, 2)
 
 
-def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
-    a_p = truncation_poly(seq, p)
-    parts = a_p.squarefree_decomposition()  # shared by both results
-    fact = SquareCofactor.from_parts(a_p, parts)
-    gal = GaloisResult.from_parts(a_p, parts)
-    return TruncationRecord(seq=seq.key, p=p, trunc=a_p, factorization=fact, galois=gal)
+def compute_record(seq: SequenceSpec, p: int, cofactors=()) -> TruncationRecord:
+    """The record of ``seq`` at p.
+
+    The truncation is certified with the cofactor P = 1 and then with each
+    of ``cofactors`` (integer coefficient tuples, constant first) reduced
+    mod p and made monic, each distinct guess once, in order.  If no guess
+    is proved, one squarefree decomposition gives both the factorization
+    and the degree.  A certified factorization is the one the
+    decomposition gives, so the guesses change only the time a record
+    takes, never the record.
+    """
+    a = truncation_poly(seq, p)
+    a_values: list[int] = []  # A at the filter points, shared by the guesses
+    guesses = [FpPoly.one(p)] + [FpPoly(c, p).monic() for c in cofactors]
+    for guess in dict.fromkeys(guesses):
+        found = certify(a, guess, a_values)
+        if found:
+            break
+    else:
+        parts = a.squarefree_decomposition()  # shared by both results
+        found = SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)
+    return TruncationRecord(seq.key, p, a, *found)

@@ -20,10 +20,10 @@ import random
 import sys
 
 from ._record import record
-from .finite_field import factorize, is_prime, legendre
+from .finite_field import check_prime, factorize, is_prime, legendre
 from .fp_poly import FpPoly, SquareCofactor
-from .kummer_galois import GaloisResult, TruncationRecord, certify, compute_record
-from .sequences import SequenceSpec, truncation_poly
+from .kummer_galois import TruncationRecord, compute_record
+from .sequences import SequenceSpec
 
 DEFAULT_DISCRIMINANTS = (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11)
 DEFAULT_MODULI = (3, 4, 6, 8, 12, 24)
@@ -267,42 +267,32 @@ def _candidate_singles(level: int | None) -> list[int]:
     return out
 
 
-def _assign(clusters: list[Cluster], classifiers: list) -> tuple[bool, dict, list[int]]:
-    """Try to assign one classifier per cluster so that every non-ramified
-    prime lands exactly in its own cluster's class.
+def _assign(clusters: list[Cluster], classifiers: list) -> tuple[dict, list[int]] | None:
+    """Give each cluster the first unused classifier that none of its primes
+    contradicts; None when some cluster has none.
 
-    Returns (exact, assignment, ramified primes).
+    Returns the assignment and the ramified primes, those whose own
+    classifier has a vanishing symbol.  Every list ``_trials`` yields is
+    exclusive (sign patterns of the same symbols, or disjoint residue
+    sets), so no other classifier of it matches an unramified prime: each
+    such prime lands in its own cluster's class alone.
     """
     assignment: dict = {}
     ramified: list[int] = []
     used = set()
     for cl in clusters:
-        chosen = None
         for idx, cand in enumerate(classifiers):
             if idx in used:
                 continue
             verdicts = [cand.matches(p) for p in cl.primes]
             if all(v is not False for v in verdicts):
-                chosen = idx
                 break
-        if chosen is None:
-            return False, {}, []
-        used.add(chosen)
-        assignment[cl.key] = classifiers[chosen]
-    # exactness: every prime matches only its own class
-    for cl in clusters:
-        own = assignment[cl.key]
-        for p in cl.primes:
-            v = own.matches(p)
-            if v is None:
-                ramified.append(p)
-                continue
-            for other_key, other in assignment.items():
-                if other_key == cl.key:
-                    continue
-                if other.matches(p) is True:
-                    return False, {}, []
-    return True, assignment, sorted(ramified)
+        else:
+            return None
+        used.add(idx)
+        assignment[cl.key] = cand
+        ramified += [p for p, v in zip(cl.primes, verdicts) if v is None]
+    return assignment, sorted(ramified)
 
 
 def _trials(clusters: list[Cluster], level: int | None):
@@ -350,8 +340,9 @@ def infer_conditions(
 
     first = None
     for classifiers in _trials(clusters, level):
-        exact, assignment, ramified = _assign(clusters, classifiers)
-        if exact:
+        found = _assign(clusters, classifiers)
+        if found:
+            assignment, ramified = found
             entries = tuple(
                 ClusterReport(cl.coeffs, cl.normalization, assignment[cl.key],
                               cl.primes, ())
@@ -377,41 +368,22 @@ def infer_conditions(
 
 def records(seq: SequenceSpec, primes, learned: list[LiftedCofactor] | None = None
             ) -> list[TruncationRecord]:
-    """The record of each prime, in the order given: the one ``compute_record``
-    makes, but proved from a guessed cofactor wherever that works.
-
-    At each prime the truncation is certified (``kummer_galois.certify``)
-    with the cofactor P = 1 first and then with the learned lifts, newest
-    first, each reduced mod p and made monic.  A prime that no candidate
-    proves falls back to the squarefree decomposition, exactly as in
-    ``compute_record`` but of the truncation already in hand: for
-    ``gen:r,s`` a second truncation would cost as much as the decomposition.
+    """The ``compute_record`` record of each prime, in the order given, with
+    the learned lifts, newest first, as its guessed cofactors.
 
     A record's cofactor lift is learned when it is reliable, of lower degree
     than the record's root, and new (``_learn``).  The lifts come from
     records of the sequence alone, never from a prediction, so
     ``--check-theorem`` still compares two independent computations.
     ``learned`` carries them from call to call (a pool worker keeps one list
-    for all its tasks, and ``sweep`` seeds it with its cache hits).  A
-    certified record is unique, so the candidates change only the time a
-    record takes, never the record.
+    for all its tasks, and ``sweep`` seeds it with its cache hits).
     """
     learned = [] if learned is None else learned
     out = []
     for p in primes:
-        a = truncation_poly(seq, p)
-        a_values: list[int] = []  # A at the filter points, shared by the candidates
-        candidates = [FpPoly.one(p)] + [lift.reduce_mod(p).monic() for lift in reversed(learned)]
-        found = None
-        for cand in dict.fromkeys(candidates):  # each distinct candidate once, in order
-            found = certify(a, cand, a_values)
-            if found:
-                break
-        if not found:
-            parts = a.squarefree_decomposition()
-            found = SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)
-        _learn(learned, found[0], p)
-        out.append(TruncationRecord(seq.key, p, a, *found))
+        rec = compute_record(seq, p, [lift.coeffs for lift in reversed(learned)])
+        _learn(learned, rec.factorization, p)
+        out.append(rec)
     return out
 
 
@@ -427,7 +399,11 @@ def _learn(learned: list[LiftedCofactor], fact: SquareCofactor, p: int) -> None:
 # -- sweeping + cache --------------------------------------------------------------
 
 
-def read_cache(path, seq_key: str) -> dict[int, TruncationRecord]:
+def read_cache(path, seq_key: str, primes) -> dict[int, TruncationRecord]:
+    """The cached records of ``seq_key`` at ``primes``, the last line for a
+    prime winning.  A line of another prime goes through ``check_prime``
+    alone; a line that fails a check is skipped with a warning."""
+    wanted = set(primes)
     out: dict[int, TruncationRecord] = {}
     if not path or not os.path.exists(path):
         return out
@@ -442,6 +418,9 @@ def read_cache(path, seq_key: str) -> dict[int, TruncationRecord]:
                 if not isinstance(data, dict):
                     raise ValueError("not a JSON object")
                 if data.get("seq") != seq_key:
+                    continue
+                if type(data["p"]) is int and data["p"] not in wanted:
+                    check_prime(data["p"])
                     continue
                 rec = TruncationRecord.from_json_dict(data)
             except (ValueError, KeyError, TypeError) as exc:
@@ -493,14 +472,14 @@ def sweep(
     Fresh records come from ``records``, serially or in the process pool,
     whose map hands each worker contiguous chunks of primes.  External
     sequences are skipped (with a warning) at primes their table cannot
-    cover.  ``records`` starts with the lifts the cached records of the
-    sequence teach, in ascending p, so a resumed sweep need not relearn
-    them.  Results are sorted by p and independent of thread count.  A
-    cache hit found stale by the spot check is recomputed and its record
-    appended to the cache, where the last line for a prime wins.
+    cover.  ``records`` starts with the lifts the cache hits teach, in
+    ascending p, so a resumed sweep need not relearn them.  Results are
+    sorted by p and independent of thread count.  A cache hit found stale
+    by the spot check is recomputed and its record appended to the cache,
+    after the fresh ones; the last line for a prime wins.
     """
     ps = primes_in_range(lo, hi)
-    cached = read_cache(cache_path, seq.key)
+    cached = read_cache(cache_path, seq.key, ps)
     todo = []
     for p in ps:
         if p in cached:
@@ -517,31 +496,31 @@ def sweep(
         # imported here, so that serial runs do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+        # at most one worker per prime: under the fork start method the
+        # pool starts all of its workers at once
+        workers = min(threads, len(todo))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(seq, *learned)) as pool:
             fresh = list(pool.map(_worker_record, todo,
-                                  chunksize=max(1, len(todo) // (4 * threads))))
+                                  chunksize=max(1, len(todo) // (4 * workers))))
     else:
         fresh = records(seq, todo, learned)
-    append_cache(cache_path, fresh)
 
     # spot-check ~1% of cache hits against fresh computation (seeded, so the
     # sample and hence the output are reproducible)
-    in_range = [p for p in sorted(cached) if lo <= p <= hi]
     corrected = []
-    if in_range:
+    if cached:
         rng = random.Random(f"{seq.key}:{lo}:{hi}")
-        for p in rng.sample(in_range, max(1, len(in_range) // 100)):
+        for p in rng.sample(sorted(cached), max(1, len(cached) // 100)):
             rec = compute_record(seq, p)
             if cached[p] != rec:
                 _warn("%s: cached record at p=%d is stale; recomputed", seq.key, p)
                 cached[p] = rec
                 corrected.append(rec)
-    append_cache(cache_path, corrected)
+    append_cache(cache_path, fresh + corrected)
 
-    merged = {rec.p: rec for rec in fresh}
-    merged.update(cached)
-    return [merged[p] for p in sorted(merged) if lo <= p <= hi]
+    cached.update((rec.p, rec) for rec in fresh)
+    return [cached[p] for p in sorted(cached)]
 
 
 def mine(

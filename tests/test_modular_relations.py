@@ -185,7 +185,7 @@ class TestSensitivity:
     @staticmethod
     def corrupt_h(monkeypatch, i):
         def corrupted(p, _h=modular_relations.franel_truncation):
-            return _h(p) + FpPoly.monomial(i, p)
+            return _h(p) + FpPoly((0,) * i + (1,), p)
         monkeypatch.setattr(modular_relations, "franel_truncation", corrupted)
 
     @pytest.mark.parametrize("p", [11, 13])

@@ -7,14 +7,15 @@ import pytest
 
 from aperylike import cli, kummer_galois, pattern_miner
 from aperylike.fp_poly import FpPoly, SquareCofactor
-from aperylike.kummer_galois import GaloisResult, TruncationRecord, compute_record
+from aperylike.kummer_galois import (GaloisResult, TruncationRecord, compute_record,
+                                     galois_degree)
 from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
                                      LegendreProfile, LiftedCofactor,
                                      cluster_records,
                                      infer_conditions, lift_cofactor, mine,
                                      poly_str, primes_in_range, read_cache,
                                      records, report_table, sweep)
-from aperylike.sequences import CATALOG, get_sequence, load_external
+from aperylike.sequences import CATALOG, get_sequence, load_external, truncation_poly
 from tests.conftest import exact_terms
 from tests.test_golden import write_apery_bfile
 
@@ -179,7 +180,7 @@ class TestSweepCache:
             fh.write(json.dumps({"seq": "apery", "p": 999}) + "\n")
             for value in ([1, 2], None, 3, "apery"):  # valid JSON, not an object
                 fh.write(json.dumps(value) + "\n")
-        loaded = read_cache(cache, "apery")
+        loaded = read_cache(cache, "apery", primes_in_range(5, 30))
         assert sorted(loaded) == primes_in_range(5, 30)
 
     def test_impossible_degree_skipped(self, tmp_path, caplog):
@@ -194,7 +195,7 @@ class TestSweepCache:
                 data["degree"] = 3  # does not divide p-1 = 10
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery")
+            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in (7, 11)]
         assert caplog.text.count("skipping corrupt cache line") == 2
         assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
@@ -214,7 +215,7 @@ class TestSweepCache:
                                    degree=1)
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery")
+            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in bad_p]
         assert caplog.text.count("skipping corrupt cache line") == 3
         assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
@@ -242,7 +243,7 @@ class TestSweepCache:
                 data["c"] += p
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery")
+            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
         bad = (13, 17, 19, 23, 29)
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in bad]
         assert caplog.text.count("skipping corrupt cache line") == 5
@@ -275,7 +276,7 @@ class TestSweepCache:
                 data[field] = value
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery")
+            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p != 13]
         assert caplog.text.count("skipping corrupt cache line") == 1
         assert "is not an integer" in caplog.text
@@ -285,13 +286,30 @@ class TestSweepCache:
     def test_cache_isolates_sequences(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 5, 30, cache_path=cache)
-        assert read_cache(cache, "franel") == {}
+        assert read_cache(cache, "franel", primes_in_range(5, 30)) == {}
 
     def test_subrange_reuses_cache(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 5, 60, cache_path=cache)
         part = sweep(CATALOG["apery"], 20, 40, cache_path=cache)
         assert [r.p for r in part] == primes_in_range(20, 40)
+
+    def test_reads_only_the_swept_primes(self, tmp_path, monkeypatch):
+        # the 93 lines of 5..500 are in the cache; a sweep of 5..60 rebuilds
+        # only its own 15 records, and its output is the cold sweep's
+        cache = tmp_path / "cache.jsonl"
+        sweep(CATALOG["apery"], 5, 500, cache_path=cache)
+        calls = []
+        original = TruncationRecord.from_json_dict.__func__
+
+        def counting(cls, data):
+            calls.append(data["p"])
+            return original(cls, data)
+
+        monkeypatch.setattr(TruncationRecord, "from_json_dict", classmethod(counting))
+        part = sweep(CATALOG["apery"], 5, 60, cache_path=cache)
+        assert sorted(calls) == primes_in_range(5, 60)
+        assert part == sweep(CATALOG["apery"], 5, 60)
 
     def test_stale_hit_recomputed_once(self, tmp_path, monkeypatch, caplog):
         cache = tmp_path / "cache.jsonl"
@@ -381,9 +399,13 @@ def apery_bfile(tmp_path_factory):
 class TestRecords:
     @pytest.mark.parametrize("key", ORACLE_KEYS)
     def test_match_compute_record(self, key, apery_bfile, monkeypatch):
+        # the oracle is the squarefree decomposition alone, never certify
         seq = apery_bfile if key == "bfile" else get_sequence(key)
         ps = primes_in_range(5, 300)
-        want = [compute_record(seq, p) for p in ps]
+        truncs = [truncation_poly(seq, p) for p in ps]
+        want = [TruncationRecord(seq.key, p, a, a.square_cofactor(), galois_degree(a))
+                for p, a in zip(ps, truncs)]
+        assert [compute_record(seq, p) for p in ps] == want
         assert records(seq, ps) == want
         assert records(seq, ps, list(ADVERSARIAL_LIFTS)) == want
         # with the pre-filter off, only the exact checks reject a guess
@@ -438,6 +460,36 @@ class TestRecords:
         assert len(calls) <= self.DECOMPOSITIONS[key]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools ``sweep`` starts, each a fake that runs in this process,
+    records its worker count and pickles each mapped task."""
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.max_workers, self.initializer, self.initargs = max_workers, initializer, initargs
+            self.tasks = []
+            made.append(self)
+
+        def __enter__(self):
+            self.initializer(*self.initargs)
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            self.tasks += [pickle.dumps((fn, item)) for item in items]
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(pattern_miner, "_worker_seq", None)
+    monkeypatch.setattr(pattern_miner, "_worker_learned", [])
+    return made
+
+
 class TestDeterminism:
     def test_threads_do_not_change_output(self, tmp_path):
         # a catalog row, the generalized family and a b-file: each goes
@@ -453,41 +505,23 @@ class TestDeterminism:
             parallel_report = mine(seq, 5, 100, threads=3)
             assert report_table(serial_report, "json") == report_table(parallel_report, "json")
 
-    def test_pool_tasks_carry_only_primes(self, tmp_path, monkeypatch):
+    def test_pool_tasks_carry_only_primes(self, tmp_path, pools):
         # the b-file table goes to each worker once, through the pool's
         # initializer, and never into a mapped task
         bfile = tmp_path / "b005259.txt"
         bfile.write_text("".join(f"{n} {v}\n" for n, v in enumerate(exact_terms("apery"))))
         seq = load_external(bfile)
-        pools = []
-
-        class RecordingExecutor:
-            """Runs the pool in this process and pickles each mapped task."""
-
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                self.initializer, self.initargs, self.tasks = initializer, initargs, []
-                pools.append(self)
-
-            def __enter__(self):
-                self.initializer(*self.initargs)
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                items = list(items)
-                self.tasks += [pickle.dumps((fn, item)) for item in items]
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(pattern_miner, "_worker_seq", None)
         assert sweep(seq, 5, 100, threads=2) == sweep(seq, 5, 100, threads=1)
         (pool,) = pools
         assert pool.initargs == (seq,)
         assert len(pool.tasks) == len(primes_in_range(5, 100))
         table = pickle.dumps(seq.terms)
         assert all(len(task) < len(table) // 100 for task in pool.tasks)
+
+    def test_pool_has_at_most_one_worker_per_prime(self, pools):
+        assert [r.p for r in sweep(CATALOG["apery"], 5, 7, threads=64)] == [5, 7]
+        (pool,) = pools
+        assert pool.max_workers == 2
 
     def test_cache_does_not_change_output(self, tmp_path):
         cold = mine(CATALOG["az"], 5, 80)
