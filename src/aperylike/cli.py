@@ -35,7 +35,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
 
 
-def _order(text: str) -> int:
+def _positive(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seq", help="sequence or family name where applicable")
     sp.add_argument("--prime", type=int)
     sp.add_argument("--primes", type=_parse_range, metavar="LO..HI")
-    sp.add_argument("--order", type=_order, default=None,
+    sp.add_argument("--order", type=_positive, default=None,
                     help="series precision for series-based checks, at least 1 "
                          "(default 100, or 3p for the kummer check, which needs "
                          "more than p; the 2F1 link check caps it at p-1, and "
@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp, prime=False)
     sp.add_argument("--cache", default=os.environ.get("APERY_CACHE"),
                     help="JSONL cache path (default: $APERY_CACHE)")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive, default=os.cpu_count() or 1)
     sp.add_argument("--strict", action="store_true",
                     help="exit 1 when the mining status is UNRESOLVED")
     return top
@@ -262,8 +262,7 @@ def _run_check(check: str, seq, p: int, args) -> tuple[bool, str]:
         report = sequences.verify_lucas_property(seq, p)
         return report.ok, "" if report.ok else f"counterexample (n,l)={report.counterexample}"
     if check == "kummer":
-        n = args.order if args.order is not None else 3 * p
-        report = kummer_galois.verify_kummer_relation(seq, p, n)
+        report = kummer_galois.verify_kummer_relation(seq, p, args.order)
         return report.ok, "" if report.ok else f"first mismatch at index {report.mismatch_index}"
     if check == "ode":
         return modular_relations.verify_ode(p), ""
@@ -300,8 +299,7 @@ def _cmd_mine(args) -> int:
         raise UsageError("mine needs --primes LO..HI")
     lo, hi = args.primes
     _range_primes(lo, hi)
-    report = pattern_miner.mine(seq, lo, hi, cache_path=args.cache,
-                                threads=max(1, args.threads))
+    report = pattern_miner.mine(seq, lo, hi, cache_path=args.cache, threads=args.threads)
     sys.stdout.write(pattern_miner.report_table(report, args.format))
     if args.strict and report.status != "VALIDATED":
         return EXIT_FAIL

@@ -66,9 +66,6 @@ class LiftedCofactor:
     normalization: str       # "constant" | "monic"
     reliable: bool
 
-    def reduce_mod(self, p: int) -> FpPoly:
-        return FpPoly(self.coeffs, p)
-
 
 def _symmetric(c: int, p: int) -> int:
     return c - p if c > p // 2 else c
@@ -178,7 +175,7 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
     pending: list[tuple[int, TruncationRecord, LiftedCofactor]] = []
 
     def match(p: int, lift: LiftedCofactor):
-        target = lift.reduce_mod(p)
+        target = FpPoly(lift.coeffs, p)
         hits = [key for key in clusters
                 if key[0] == lift.normalization and FpPoly(key[1], p) == target]
         return sorted(hits, key=lambda k: (len(k[1]), k[1]))
@@ -366,34 +363,36 @@ def infer_conditions(
 # -- records ---------------------------------------------------------------------
 
 
-def records(seq: SequenceSpec, primes, learned: list[LiftedCofactor] | None = None
+def records(seq: SequenceSpec, primes, learned: list[tuple[int, ...]] | None = None
             ) -> list[TruncationRecord]:
     """The ``compute_record`` record of each prime, in the order given, with
     the learned lifts, newest first, as its guessed cofactors.
 
-    A record's cofactor lift is learned when it is reliable, of lower degree
-    than the record's root, and new (``_learn``).  The lifts come from
-    records of the sequence alone, never from a prediction, so
-    ``--check-theorem`` still compares two independent computations.
-    ``learned`` carries them from call to call (a pool worker keeps one list
-    for all its tasks, and ``sweep`` seeds it with its cache hits).
+    A record's cofactor lift is learned, as its coefficient tuple, when it
+    is reliable, not constant, of lower degree than the record's root, and
+    new (``_learn``).  The lifts come from records of the sequence alone,
+    never from a prediction, so ``--check-theorem`` still compares two
+    independent computations.  ``learned`` carries them from call to call
+    (a pool worker keeps one list for all its tasks, and ``sweep`` seeds it
+    with its cache hits).
     """
     learned = [] if learned is None else learned
     out = []
     for p in primes:
-        rec = compute_record(seq, p, [lift.coeffs for lift in reversed(learned)])
+        rec = compute_record(seq, p, reversed(learned))
         _learn(learned, rec.factorization, p)
         out.append(rec)
     return out
 
 
-def _learn(learned: list[LiftedCofactor], fact: SquareCofactor, p: int) -> None:
-    """Append the lift of the cofactor of A = c*P*B^2 at p to ``learned``
-    when it is reliable, deg P < deg B and the lift is new."""
-    if fact.cofactor.degree < fact.root.degree:
+def _learn(learned: list[tuple[int, ...]], fact: SquareCofactor, p: int) -> None:
+    """Append the coefficients of the lift of the cofactor of A = c*P*B^2 at
+    p to ``learned`` when it is reliable, 0 < deg P < deg B and the lift is
+    new.  ``compute_record`` tries P = 1 first, so it is never learned."""
+    if 0 < fact.cofactor.degree < fact.root.degree:
         lift = lift_cofactor(fact.cofactor, p)
-        if lift.reliable and lift not in learned:
-            learned.append(lift)
+        if lift.reliable and lift.coeffs not in learned:
+            learned.append(lift.coeffs)
 
 
 # -- sweeping + cache --------------------------------------------------------------
@@ -447,10 +446,10 @@ def append_cache(path, records: list[TruncationRecord]) -> None:
 # lifts the worker has learned, which ``records`` carries across its tasks
 # (seeded with the lifts of the sweep's cache hits).
 _worker_seq: SequenceSpec | None = None
-_worker_learned: list[LiftedCofactor] = []
+_worker_learned: list[tuple[int, ...]] = []
 
 
-def _init_worker(seq: SequenceSpec, *learned: LiftedCofactor) -> None:
+def _init_worker(seq: SequenceSpec, *learned: tuple[int, ...]) -> None:
     global _worker_seq, _worker_learned
     _worker_seq = seq
     _worker_learned = list(learned)
@@ -470,25 +469,30 @@ def sweep(
     """One TruncationRecord per prime in [lo, hi], cache-backed.
 
     Fresh records come from ``records``, serially or in the process pool,
-    whose map hands each worker contiguous chunks of primes.  External
-    sequences are skipped (with a warning) at primes their table cannot
-    cover.  ``records`` starts with the lifts the cache hits teach, in
-    ascending p, so a resumed sweep need not relearn them.  Results are
-    sorted by p and independent of thread count.  A cache hit found stale
-    by the spot check is recomputed and its record appended to the cache,
-    after the fresh ones; the last line for a prime wins.
+    whose map hands each worker contiguous chunks of primes.  They are the
+    records of the uncached primes and of the spot check, a seeded sample
+    of ~1% of the cache hits.  External sequences are skipped (with a
+    warning) at uncached primes their table cannot cover.  ``records``
+    starts with the lifts the cache hits teach, in ascending p, so a
+    resumed sweep need not relearn them.  Results are sorted by p and
+    independent of thread count.  A sampled hit that differs from its
+    fresh record is stale: it is replaced and, like every new record,
+    appended to the cache; the last line for a prime wins.
     """
     ps = primes_in_range(lo, hi)
     cached = read_cache(cache_path, seq.key, ps)
+    sampled = set()
+    if cached:
+        # seeded, so the sample and hence the output are reproducible
+        rng = random.Random(f"{seq.key}:{lo}:{hi}")
+        sampled = set(rng.sample(sorted(cached), max(1, len(cached) // 100)))
     todo = []
     for p in ps:
-        if p in cached:
-            continue
-        if seq.terms.size is not None and seq.terms.size < p:
+        if p not in cached and seq.terms.size is not None and seq.terms.size < p:
             _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
-            continue
-        todo.append(p)
-    learned: list[LiftedCofactor] = []
+        elif p not in cached or p in sampled:
+            todo.append(p)
+    learned: list[tuple[int, ...]] = []
     for p in sorted(cached):
         _learn(learned, cached[p].factorization, p)
 
@@ -506,18 +510,11 @@ def sweep(
     else:
         fresh = records(seq, todo, learned)
 
-    # spot-check ~1% of cache hits against fresh computation (seeded, so the
-    # sample and hence the output are reproducible)
-    corrected = []
-    if cached:
-        rng = random.Random(f"{seq.key}:{lo}:{hi}")
-        for p in rng.sample(sorted(cached), max(1, len(cached) // 100)):
-            rec = compute_record(seq, p)
-            if cached[p] != rec:
-                _warn("%s: cached record at p=%d is stale; recomputed", seq.key, p)
-                cached[p] = rec
-                corrected.append(rec)
-    append_cache(cache_path, fresh + corrected)
+    changed = [rec for rec in fresh if cached.get(rec.p) != rec]
+    for rec in changed:
+        if rec.p in cached:
+            _warn("%s: cached record at p=%d is stale; recomputed", seq.key, rec.p)
+    append_cache(cache_path, changed)
 
     cached.update((rec.p, rec) for rec in fresh)
     return [cached[p] for p in sorted(cached)]

@@ -350,7 +350,7 @@ def generalized(r: int, s: int) -> SequenceSpec:
     )
 
 
-def load_external(path, name: str | None = None) -> SequenceSpec:
+def load_external(path) -> SequenceSpec:
     """Parse an OEIS-style b-file: one "index value" pair per line,
     '#' comments of any bytes, indices contiguous from 0, values ASCII
     integers of any length."""
@@ -373,7 +373,7 @@ def load_external(path, name: str | None = None) -> SequenceSpec:
             limbs.append(val)
     if not limbs:
         raise BFileError("file contains no coefficients")
-    key = f"external:{name if name is not None else _stem(path)}"
+    key = f"external:{_stem(path)}"
     table = CoefficientTable(key, tuple(limbs))
     return SequenceSpec(
         key=key,

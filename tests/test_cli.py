@@ -288,6 +288,14 @@ class TestMine:
         assert (code1, code2) == (0, 0)
         assert out1 == out2
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_rejected(self, capsys, threads):
+        with pytest.raises(SystemExit) as info:
+            main(["mine", "--seq", "apery", "--primes", "5..20", "--threads", threads])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "--threads: must be at least 1" in captured.err
+
     def test_strict_flags_unresolved(self, capsys, tmp_path):
         # a non-Lucas external table produces incoherent cofactors: most
         # lifts never match a candidate, which forces UNRESOLVED

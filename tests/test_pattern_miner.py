@@ -10,8 +10,7 @@ from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import (GaloisResult, TruncationRecord, compute_record,
                                      galois_degree)
 from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
-                                     LegendreProfile, LiftedCofactor,
-                                     cluster_records,
+                                     LegendreProfile, cluster_records,
                                      infer_conditions, lift_cofactor, mine,
                                      poly_str, primes_in_range, read_cache,
                                      records, report_table, sweep)
@@ -321,9 +320,9 @@ class TestSweepCache:
 
         calls = []
 
-        def counting(seq, p):
+        def counting(seq, p, cofactors=()):
             calls.append(p)
-            return compute_record(seq, p)
+            return compute_record(seq, p, cofactors)
 
         monkeypatch.setattr(pattern_miner, "compute_record", counting)
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
@@ -337,8 +336,8 @@ class TestSweepCache:
 
     def test_resumed_sweep_starts_with_cached_lifts(self, tmp_path, monkeypatch):
         # the cached records above 400 teach the lift of 1 - 34t + t^2, so
-        # the primes 300..399 need no decomposition; the one made is the
-        # spot check's
+        # neither the primes 300..399 nor the spot check's sampled hit needs
+        # a decomposition
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 400, 499, cache_path=cache)
         calls = []
@@ -351,7 +350,26 @@ class TestSweepCache:
         monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
         out = sweep(CATALOG["apery"], 300, 499, cache_path=cache)
         assert [r.p for r in out] == primes_in_range(300, 499)
-        assert len(calls) == 1 and calls[0] >= 400
+        assert calls == []
+
+    def test_cached_primes_beyond_a_table(self, tmp_path, caplog):
+        # a cache written from a longer b-file of the same name serves the
+        # primes past the shorter table without the skip warning; only the
+        # spot check recomputes, and it cannot at a prime past the table
+        terms = exact_terms("apery")
+        (tmp_path / "long").mkdir()
+        (tmp_path / "short").mkdir()
+        for name, count in (("long", 110), ("short", 40)):
+            (tmp_path / name / "apery.b").write_text(
+                "".join(f"{n} {v}\n" for n, v in enumerate(terms[:count])))
+        cache = tmp_path / "cache.jsonl"
+        want = sweep(load_external(tmp_path / "long" / "apery.b"), 5, 101, cache_path=cache)
+        short = load_external(tmp_path / "short" / "apery.b")
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            assert sweep(short, 5, 100, cache_path=cache) == want[:-1]  # samples p = 29
+        assert caplog.text == ""
+        with pytest.raises(ValueError, match="has 40 terms; need 67"):
+            sweep(short, 5, 101, cache_path=cache)  # samples p = 67
 
     def test_stale_hit_appended(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
@@ -383,9 +401,9 @@ ORACLE_KEYS = [*CATALOG, "gen:2,2", "bfile"]
 # the Apery cofactor only at p = 13): tried at each FULL-class prime after
 # the sweep's own lifts, each must be rejected or proved exactly.
 ADVERSARIAL_LIFTS = [
-    LiftedCofactor((1, 5, 1), "constant", True),  # a wrong quadratic
-    LiftedCofactor((1, 3), "constant", True),     # odd degree: the wrong parity
-    LiftedCofactor((1, 2, 1), "constant", True),  # (1 + t)^2, a repeated factor
+    (1, 5, 1),  # a wrong quadratic
+    (1, 3),     # odd degree: the wrong parity
+    (1, 2, 1),  # (1 + t)^2, a repeated factor
 ]
 
 
@@ -415,7 +433,10 @@ class TestRecords:
     def test_learns_reliable_lifts_of_low_degree(self):
         learned = []
         records(CATALOG["apery"], primes_in_range(71, 120), learned)
-        assert learned[0] == LiftedCofactor((1, -34, 1), "constant", True)
+        assert learned[0] == (1, -34, 1)
+        learned = []
+        records(CATALOG["apery"], primes_in_range(5, 60), learned)
+        assert learned[0] == (1, 5, 1)  # not (1,): P = 1 is always tried first
         learned = []
         records(CATALOG["franel"], primes_in_range(5, 120), learned)
         assert learned == []  # the Franel truncations are squarefree: B = 1
@@ -517,6 +538,23 @@ class TestDeterminism:
         assert len(pool.tasks) == len(primes_in_range(5, 100))
         table = pickle.dumps(seq.terms)
         assert all(len(task) < len(table) // 100 for task in pool.tasks)
+
+    def test_spot_check_runs_in_the_pool(self, tmp_path, pools):
+        # a half-warm cache: the sampled hit is one more task of the pool,
+        # started with the lifts the cache teaches, and the output and the
+        # cache are the serial sweep's
+        seq = CATALOG["apery"]
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        sweep(seq, 5, 100, cache_path=serial)
+        parallel.write_text(serial.read_text())
+        out = sweep(seq, 5, 200, cache_path=parallel, threads=2)
+        (pool,) = pools
+        assert pool.initargs[-1] == (1, -34, 1)
+        tasks = [pickle.loads(task)[1] for task in pool.tasks]
+        assert tasks[0] <= 100 and tasks[1:] == primes_in_range(101, 200)
+        assert out == sweep(seq, 5, 200, cache_path=serial, threads=1)
+        assert out == sweep(seq, 5, 200)
+        assert parallel.read_text() == serial.read_text()
 
     def test_pool_has_at_most_one_worker_per_prime(self, pools):
         assert [r.p for r in sweep(CATALOG["apery"], 5, 7, threads=64)] == [5, 7]
