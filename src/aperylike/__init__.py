@@ -13,14 +13,14 @@ from .finite_field import (binomial_lucas, check_prime, factorial_tables,
                            inv_mod, is_prime, legendre, mult_order)
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries, expand_rational, hypergeometric_2f1
-from .kummer_galois import (GaloisResult, InvolutionReport, KummerReport,
-                            TruncationRecord, certify, compute_record,
-                            galois_degree, involution_analysis,
-                            predicted_cofactor, predicted_group,
-                            verify_kummer_relation)
-from .sequences import (CATALOG, LucasReport, SequenceSpec, coefficients_mod_p,
-                        generalized, get_sequence, load_external, term_exact,
-                        term_mod_p, truncation_poly, verify_lucas_property)
+from .kummer_galois import (GaloisResult, InvolutionReport, TruncationRecord,
+                            certify, compute_record, galois_degree,
+                            involution_analysis, predicted_cofactor,
+                            predicted_group, verify_kummer_relation)
+from .sequences import (CATALOG, FrobeniusReport, SequenceSpec,
+                        coefficients_mod_p, generalized, get_sequence,
+                        load_external, term_exact, term_mod_p,
+                        truncation_poly, verify_lucas_property)
 
 __version__ = "0.1.0"
 

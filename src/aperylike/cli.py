@@ -263,7 +263,7 @@ def _run_check(check: str, seq, p: int, args) -> tuple[bool, str]:
         return report.ok, "" if report.ok else f"counterexample (n,l)={report.counterexample}"
     if check == "kummer":
         report = kummer_galois.verify_kummer_relation(seq, p, args.order)
-        return report.ok, "" if report.ok else f"first mismatch at index {report.mismatch_index}"
+        return report.ok, "" if report.ok else f"first mismatch at index {report.mismatch}"
     if check == "ode":
         return modular_relations.verify_ode(p), ""
     if check == "twist":
@@ -283,13 +283,11 @@ def _run_check(check: str, seq, p: int, args) -> tuple[bool, str]:
         return True, f"sign={'+' if res.sign == 1 else '-'}"
     if check == "quadratic":
         res = modular_relations.verify_quadratic(seq.key, p)
-        inv = modular_relations.verify_sigma_involution(seq.key, p)
-        fixed = modular_relations.verify_t_fixed_by_sigma(seq.key, p)
-        ok = res.ok and inv and fixed
         detail = f"disc_sign={res.disc_sign:+d}"
-        if not ok:
-            detail += f" x_solves={res.x_solves} sigma={res.sigma_solves} inv={inv} tfix={fixed}"
-        return ok, detail
+        if not res.ok:
+            detail += (f" x_solves={res.x_solves} sigma={res.sigma_solves}"
+                       f" inv={res.involution} tfix={res.t_fixed}")
+        return res.ok, detail
     raise UsageError(f"unknown check {check}")
 
 

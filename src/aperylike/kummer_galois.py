@@ -20,8 +20,8 @@ from .families import FAMILIES, get_family, in_classes
 from .finite_field import check_prime, factorize, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
-from .sequences import (SequenceSpec, coefficients_mod_p, kummer_mismatch,
-                        truncation_poly)
+from .sequences import (FrobeniusReport, SequenceSpec, coefficients_mod_p,
+                        kummer_mismatch, truncation_poly)
 
 LABEL_S = "S"
 LABEL_FULL = "FULL"
@@ -138,25 +138,14 @@ def involution_analysis(family: str, p: int) -> InvolutionReport:
 # -- the Kummer congruence ---------------------------------------------------------
 
 
-@record
-class KummerReport:
-    seq: str
-    p: int
-    ok: bool
-    mismatch_index: int | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_kummer_relation(seq: SequenceSpec, p: int, precision: int | None = None) -> KummerReport:
+def verify_kummer_relation(seq: SequenceSpec, p: int,
+                           precision: int | None = None) -> FrobeniusReport:
     """Check f = A_p * f(t^p) coefficientwise to the given precision, by
     ``kummer_mismatch``.  Default precision is 3p, covering indices whose
     base-p expansions have two digits.
     """
     n = 3 * p if precision is None else precision
-    i = kummer_mismatch(coefficients_mod_p(seq, n, p), p)
-    return KummerReport(seq.key, p, i is None, i)
+    return FrobeniusReport(seq.key, p, kummer_mismatch(coefficients_mod_p(seq, n, p), p))
 
 
 # -- per-prime records -----------------------------------------------------------

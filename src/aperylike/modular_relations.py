@@ -169,15 +169,26 @@ class QuadraticCheck:
     # t -> -t mirror; 0: neither
     disc_sign: int
     discriminant: FpPoly
+    involution: bool  # sigma(sigma(x)) = x
+    t_fixed: bool     # t(sigma(x)) = t(x)
 
     @property
     def ok(self) -> bool:
-        return self.x_solves and self.sigma_solves and self.disc_sign != 0
+        return (self.x_solves and self.sigma_solves and self.disc_sign != 0
+                and self.involution and self.t_fixed)
+
+
+def _compose_sigma(num: FpPoly, den: FpPoly, sn: FpPoly, sd: FpPoly) -> tuple[FpPoly, FpPoly]:
+    """(num/den)(sn/sd) as a fraction n2/d2 of polynomials in x, both parts
+    cleared by sd^max(deg num, deg den)."""
+    d = max(num.degree, den.degree)
+    return num.substitute_rational(sn, sd, d), den.substitute_rational(sn, sd, d)
 
 
 def verify_quadratic(family: str, p: int) -> QuadraticCheck:
     """Check that x and sigma(x) solve a(t) x^2 + b(t) x + c(t) = 0 under
-    t = t(x), and compare b^2 - 4ac with the family cofactor quadratic.
+    t = t(x), compare b^2 - 4ac with the family cofactor quadratic, and check
+    that sigma is an involution fixing t(x).
 
     All identities are denominator-cleared polynomial identities in x.
     """
@@ -192,6 +203,10 @@ def verify_quadratic(family: str, p: int) -> QuadraticCheck:
 
     sn, sd = FpPoly(spec.sigma_num, p), FpPoly(spec.sigma_den, p)
     sigma_solves = not (ca * sn * sn + cb * sn * sd + cc * sd * sd)
+    n2, d2 = _compose_sigma(sn, sd, sn, sd)
+    involution = n2 == x * d2
+    n2, d2 = _compose_sigma(tn, td, sn, sd)
+    t_fixed = n2 * td == d2 * tn  # t(sigma) = n2/d2 equals tn/td
 
     disc = qb * qb - 4 * (qa * qc)
     target = FpPoly(spec.cofactor_quad, p)
@@ -204,29 +219,4 @@ def verify_quadratic(family: str, p: int) -> QuadraticCheck:
         disc_sign = 0
     return QuadraticCheck(family=family, p=p, x_solves=x_solves,
                           sigma_solves=sigma_solves, disc_sign=disc_sign,
-                          discriminant=disc)
-
-
-def _compose_sigma(num: FpPoly, den: FpPoly, sn: FpPoly, sd: FpPoly) -> tuple[FpPoly, FpPoly]:
-    """(num/den)(sn/sd) as a fraction n2/d2 of polynomials in x, both parts
-    cleared by sd^max(deg num, deg den)."""
-    d = max(num.degree, den.degree)
-    return num.substitute_rational(sn, sd, d), den.substitute_rational(sn, sd, d)
-
-
-def verify_sigma_involution(family: str, p: int) -> bool:
-    """sigma(sigma(x)) = x as a cleared polynomial identity."""
-    spec = get_family(family)
-    sn, sd = FpPoly(spec.sigma_num, p), FpPoly(spec.sigma_den, p)
-    n2, d2 = _compose_sigma(sn, sd, sn, sd)
-    x = FpPoly((0, 1), p)
-    return n2 == x * d2
-
-
-def verify_t_fixed_by_sigma(family: str, p: int) -> bool:
-    """t(sigma(x)) = t(x) as a cleared polynomial identity."""
-    spec = get_family(family)
-    tn, td = FpPoly(spec.t_num, p), FpPoly(spec.t_den, p)
-    n2, d2 = _compose_sigma(tn, td, FpPoly(spec.sigma_num, p), FpPoly(spec.sigma_den, p))
-    # t(sigma) = n2/d2; equality with tn/td as rational functions
-    return n2 * td == d2 * tn
+                          discriminant=disc, involution=involution, t_fixed=t_fixed)

@@ -20,6 +20,7 @@ import random
 import sys
 
 from ._record import record
+from .families import in_classes
 from .finite_field import check_prime, factorize, is_prime, legendre
 from .fp_poly import FpPoly, SquareCofactor
 from .kummer_galois import TruncationRecord, compute_record
@@ -122,7 +123,7 @@ class CongruenceClass:
     residues: tuple[int, ...]
 
     def matches(self, p: int) -> bool | None:
-        return p % self.modulus in self.residues
+        return in_classes((self.modulus, self.residues), p)
 
     def describe(self) -> str:
         rs = ",".join(str(r) for r in self.residues)
@@ -294,9 +295,12 @@ def _assign(clusters: list[Cluster], classifiers: list) -> tuple[dict, list[int]
 
 def _trials(clusters: list[Cluster], level: int | None):
     """The classifier lists ``infer_conditions`` tries, one per cluster each,
-    made one at a time in search order: single Legendre symbols (up to two
-    clusters), pairs of symbols (up to four), then the congruence classes
-    modulo each of DEFAULT_MODULI whose residue sets are disjoint."""
+    made one at a time in search order: all p for a single cluster, single
+    Legendre symbols (up to two clusters), pairs of symbols (up to four),
+    then the congruence classes modulo each of DEFAULT_MODULI whose residue
+    sets are disjoint."""
+    if len(clusters) == 1:
+        yield [AlwaysTrue()]
     singles = _candidate_singles(level)
     if len(clusters) <= 2:
         for d in singles:
@@ -329,12 +333,6 @@ def infer_conditions(
     good = "UNRESOLVED" if unmatched else "VALIDATED"
     if not clusters:
         return PatternReport(seq_key, lo, hi, "UNRESOLVED", (), unmatched=tuple(unmatched))
-    if len(clusters) == 1:
-        entry = ClusterReport(clusters[0].coeffs, clusters[0].normalization,
-                              AlwaysTrue(), clusters[0].primes, ())
-        return PatternReport(seq_key, lo, hi, good, (entry,),
-                             unmatched=tuple(unmatched))
-
     first = None
     for classifiers in _trials(clusters, level):
         found = _assign(clusters, classifiers)
@@ -471,24 +469,27 @@ def sweep(
     Fresh records come from ``records``, serially or in the process pool,
     whose map hands each worker contiguous chunks of primes.  They are the
     records of the uncached primes and of the spot check, a seeded sample
-    of ~1% of the cache hits.  External sequences are skipped (with a
-    warning) at uncached primes their table cannot cover.  ``records``
-    starts with the lifts the cache hits teach, in ascending p, so a
-    resumed sweep need not relearn them.  Results are sorted by p and
+    of ~1% of the cache hits that the sequence can recompute: a hit past
+    the end of an external table is served from the cache alone.  External
+    sequences are skipped (with a warning) at uncached primes their table
+    cannot cover.  ``records`` starts with the lifts the cache hits teach,
+    in ascending p, so a resumed sweep need not relearn them.  Results are sorted by p and
     independent of thread count.  A sampled hit that differs from its
     fresh record is stale: it is replaced and, like every new record,
     appended to the cache; the last line for a prime wins.
     """
     ps = primes_in_range(lo, hi)
     cached = read_cache(cache_path, seq.key, ps)
+    size = seq.terms.size
+    checkable = [p for p in sorted(cached) if size is None or p <= size]
     sampled = set()
-    if cached:
+    if checkable:
         # seeded, so the sample and hence the output are reproducible
         rng = random.Random(f"{seq.key}:{lo}:{hi}")
-        sampled = set(rng.sample(sorted(cached), max(1, len(cached) // 100)))
+        sampled = set(rng.sample(checkable, max(1, len(checkable) // 100)))
     todo = []
     for p in ps:
-        if p not in cached and seq.terms.size is not None and seq.terms.size < p:
+        if p not in cached and size is not None and size < p:
             _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
         elif p not in cached or p in sampled:
             todo.append(p)

@@ -3,8 +3,9 @@ recurrences, and ingestion of external coefficient files.
 
 A sequence is its oracle ``exact``, which sums the defining formula with
 big-integer binomials, plus one residue source ``terms``.  Each source gives
-``residues(count, p)``, ``residue(n, p)`` and ``size``, the number of terms
-it holds (None when it has no end):
+``residues(count, p)``, its first ``count`` values mod p, and ``size``, the
+number of terms it holds (None when it has no end); every residue, one index
+included, is read from ``residues``:
 
 * ``Recurrence``: a catalog row's (n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1},
   stored as integer data and stepped modulo p^N, one step per coefficient.
@@ -17,7 +18,7 @@ it holds (None when it has no end):
 
 Indices n >= p come from the integer recurrence mod p^N, never from the Lucas
 product a_(np+l) = a_n a_l: ``verify_lucas_property`` and the Kummer check
-test that product.
+test that product, and both report a ``FrobeniusReport``.
 """
 from __future__ import annotations
 
@@ -136,16 +137,13 @@ class CoefficientTable:
     def value(self, n: int) -> int:
         """The exact value at index n >= 0, rebuilt without a string
         conversion."""
-        self._check(n)
+        if n >= len(self.limbs):
+            raise ValueError(f"{self.key} has {len(self.limbs)} terms; "
+                             f"index {n} out of range")
         acc = 0
         for x in self.limbs[n]:
             acc = acc * _LIMB + x
         return acc
-
-    def residue(self, n: int, p: int) -> int:
-        """The value at index n >= 0 mod p."""
-        self._check(n)
-        return _limbs_mod(self.limbs[n], _LIMB % p, p)
 
     def residues(self, count: int, p: int) -> list[int]:
         """The first ``count`` values mod p (none when count <= 0)."""
@@ -153,11 +151,6 @@ class CoefficientTable:
             raise ValueError(f"{self.key} has {len(self.limbs)} terms; need {count}")
         r = _LIMB % p
         return [_limbs_mod(limbs, r, p) for limbs in self.limbs[:max(count, 0)]]
-
-    def _check(self, n: int) -> None:
-        if n >= len(self.limbs):
-            raise ValueError(f"{self.key} has {len(self.limbs)} terms; "
-                             f"index {n} out of range")
 
 
 def _limbs_mod(limbs: tuple[int, ...], r: int, p: int) -> int:
@@ -247,10 +240,6 @@ class Recurrence:
             out.append(num % q // p ** (k * e) * pow(m, -k, q) % q)
         return [u % p for u in out]
 
-    def residue(self, n: int, p: int) -> int:
-        """u_n mod p, in O(n) steps."""
-        return self.residues(n + 1, p)[n]
-
 
 @record
 class GenSum:
@@ -265,17 +254,10 @@ class GenSum:
 
     def residues(self, count: int, p: int) -> list[int]:
         binom = digit_binomial(p)
-        return [self._sum(n, p, binom) for n in range(count)]
-
-    def residue(self, n: int, p: int) -> int:
-        return self._sum(n, p, digit_binomial(p))
-
-    def _sum(self, n: int, p: int, binom) -> int:
         r, s = self.r, self.s
-        acc = 0
-        for k in range(n + 1):
-            acc += pow(binom(n, k), r, p) * pow(binom(n + k, n), s, p)
-        return acc % p
+        return [sum(pow(binom(n, k), r, p) * pow(binom(n + k, n), s, p)
+                    for k in range(n + 1)) % p
+                for n in range(count)]
 
 
 @record
@@ -413,15 +395,11 @@ def term_exact(seq: SequenceSpec, n: int):
 
 
 def term_mod_p(seq: SequenceSpec, n: int, p: int) -> int:
-    """Value mod p, without the exact sum.
-
-    A catalog row steps its recurrence mod p^N up to n (O(n)); ``gen:r,s``
-    sums its formula with digit-wise binomials; an external table reduces
-    the limbs of its one value.
-    """
+    """Value mod p, without the exact sum: index n of the first n + 1
+    residues of ``seq.terms``."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return seq.terms.residue(n, p)
+    return seq.terms.residues(n + 1, p)[n]
 
 
 def coefficients_mod_p(seq: SequenceSpec, count: int, p: int) -> list[int]:
@@ -437,17 +415,6 @@ def coefficients_mod_p(seq: SequenceSpec, count: int, p: int) -> list[int]:
 def truncation_poly(seq: SequenceSpec, p: int) -> FpPoly:
     """A_p = sum_{n<p} a_n t^n reduced mod p."""
     return FpPoly(coefficients_mod_p(seq, p, p), p)
-
-
-@record
-class LucasReport:
-    seq: str
-    p: int
-    ok: bool
-    counterexample: tuple[int, int] | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def kummer_mismatch(cs, p: int, start: int = 0) -> int | None:
@@ -467,7 +434,26 @@ def kummer_mismatch(cs, p: int, start: int = 0) -> int | None:
     return next((i for i in range(start, n) if cs[i] != rhs[i]), None)
 
 
-def verify_lucas_property(seq: SequenceSpec, p: int, digit_levels: int = 1) -> LucasReport:
+@record
+class FrobeniusReport:
+    """The verdict of a Frobenius check of ``seq`` at p: ``mismatch`` is the
+    first index where ``kummer_mismatch`` finds f != A * f(t^p), or None."""
+
+    seq: str
+    p: int
+    mismatch: int | None
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatch is None
+
+    @property
+    def counterexample(self) -> tuple[int, int] | None:
+        """The mismatch as (n, l) with index n p + l, or None."""
+        return None if self.mismatch is None else divmod(self.mismatch, self.p)
+
+
+def verify_lucas_property(seq: SequenceSpec, p: int, digit_levels: int = 1) -> FrobeniusReport:
     """Check a_(np+l) = a_n * a_l mod p for every index np + l >= p below
     p^(digit_levels+1) (and below the size of an external table).
 
@@ -480,16 +466,14 @@ def verify_lucas_property(seq: SequenceSpec, p: int, digit_levels: int = 1) -> L
     (for n < p that product is a_n itself), and the digit product of i is
     a_l times that of n, l = i mod p; so a_i differs from it exactly when
     a_i != a_n * a_l.  Indices below p are not checked, so a table with
-    a_0 != 1 is judged only from index p on.  Returns the first
-    counterexample (n, l) instead of raising, since external tables are
-    allowed to fail.
+    a_0 != 1 is judged only from index p on.  The report's
+    ``counterexample`` is the first (n, l); it is returned instead of
+    raised, since external tables are allowed to fail.
     """
     if digit_levels < 1:
         raise ValueError("digit_levels must be >= 1")
     count = p ** (digit_levels + 1)
     if seq.terms.size is not None:
         count = min(count, seq.terms.size)
-    i = kummer_mismatch(coefficients_mod_p(seq, count, p), p, start=p)
-    if i is None:
-        return LucasReport(seq.key, p, True)
-    return LucasReport(seq.key, p, False, divmod(i, p))
+    cs = coefficients_mod_p(seq, count, p)
+    return FrobeniusReport(seq.key, p, kummer_mismatch(cs, p, start=p))

@@ -180,6 +180,22 @@ class TestVerify:
                            "--prime", "5", "--order", "30")
         assert code == 1 and "FAIL" in out
 
+    @pytest.mark.parametrize("table, check, line", [
+        ("counting", "kummer", "kummer p=5: FAIL first mismatch at index 5"),
+        ("counting", "lucas", "lucas p=5: FAIL counterexample (n,l)=(1, 0)"),
+        # a_0 = 2 breaks the Kummer relation at index 0, which the Lucas
+        # check, starting at index p, never reads: it fails at 2p = 10
+        ("apery_a0", "kummer", "kummer p=5: FAIL first mismatch at index 0"),
+        ("apery_a0", "lucas", "lucas p=5: FAIL counterexample (n,l)=(2, 0)"),
+    ])
+    def test_frobenius_failure_lines(self, capsys, tmp_path, table, check, line):
+        values = {"counting": [n + 1 for n in range(40)],
+                  "apery_a0": [2, *exact_terms("apery")[1:40]]}[table]
+        path = tmp_path / f"{table}.b"
+        path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values)))
+        code, out, _ = run(capsys, "verify", check, "--seq", f"@{path}", "--prime", "5")
+        assert (code, out) == (1, line + "\n")
+
     def test_reversed_range_is_2(self, capsys):
         code, out, err = run(capsys, "verify", "ode", "--primes", "9..4")
         assert code == 2 and out == ""

@@ -29,7 +29,7 @@ class TestKummerRelation:
         path.write_text("\n".join(f"{n} {n + 1}" for n in range(40)) + "\n")
         report = verify_kummer_relation(load_external(path), 5, 30)
         assert not report.ok
-        assert report.mismatch_index is not None
+        assert report.mismatch is not None
 
 
 class TestGaloisDegree:

@@ -11,10 +11,8 @@ from aperylike.modular_relations import (_link_series, franel_series,
                                          verify_endpoint_constant,
                                          verify_h_2f1_relation, verify_ode,
                                          verify_quadratic,
-                                         verify_sigma_involution,
                                          verify_sigma_twist,
-                                         verify_substitution,
-                                         verify_t_fixed_by_sigma)
+                                         verify_substitution)
 from tests.conftest import primes_between
 
 
@@ -154,8 +152,9 @@ class TestQuadratic:
             assert check.x_solves
             assert check.sigma_solves
             assert check.disc_sign == 1
-            assert verify_sigma_involution(family, p)
-            assert verify_t_fixed_by_sigma(family, p)
+            assert check.involution
+            assert check.t_fixed
+            assert check.ok
 
     def test_apery_discriminant_value(self):
         check = verify_quadratic("apery", 101)

@@ -355,7 +355,7 @@ class TestSweepCache:
     def test_cached_primes_beyond_a_table(self, tmp_path, caplog):
         # a cache written from a longer b-file of the same name serves the
         # primes past the shorter table without the skip warning; only the
-        # spot check recomputes, and it cannot at a prime past the table
+        # spot check recomputes, and it samples only primes within the table
         terms = exact_terms("apery")
         (tmp_path / "long").mkdir()
         (tmp_path / "short").mkdir()
@@ -366,10 +366,11 @@ class TestSweepCache:
         want = sweep(load_external(tmp_path / "long" / "apery.b"), 5, 101, cache_path=cache)
         short = load_external(tmp_path / "short" / "apery.b")
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            assert sweep(short, 5, 100, cache_path=cache) == want[:-1]  # samples p = 29
+            assert sweep(short, 5, 100, cache_path=cache) == want[:-1]
+            # drawn from every hit, the seeded sample of 5..101 would be
+            # p = 67, past the short table
+            assert sweep(short, 5, 101, cache_path=cache) == want
         assert caplog.text == ""
-        with pytest.raises(ValueError, match="has 40 terms; need 67"):
-            sweep(short, 5, 101, cache_path=cache)  # samples p = 67
 
     def test_stale_hit_appended(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"

@@ -145,7 +145,7 @@ class TestModP:
                 for count in (-1, 0):
                     assert coefficients_mod_p(spec, count, p) == [], (spec.key, p, count)
         for call, text in [(lambda: term_exact(table, 26), "index 26 out of range"),
-                           (lambda: term_mod_p(table, 26, 13), "index 26 out of range"),
+                           (lambda: term_mod_p(table, 26, 13), "need 27"),
                            (lambda: coefficients_mod_p(table, 27, 13), "need 27")]:
             with pytest.raises(ValueError) as info:
                 call()
