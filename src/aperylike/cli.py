@@ -174,7 +174,7 @@ def _cmd_cofactor(args) -> int:
     if args.prime is None:
         raise UsageError("cofactor needs --prime")
     p = check_prime(args.prime)
-    fact = sequences.truncation_poly(seq, p).square_cofactor()
+    fact = kummer_galois.compute_record(seq, p).factorization
     lift = pattern_miner.lift_cofactor(fact.cofactor, p)
     if args.format == "json":
         _emit_json({

@@ -9,11 +9,18 @@ leading constant and on the gcd of the multiplicities of A_p.
 the squarefree decomposition, unless ``certify`` proves a guessed cofactor
 P: B is then a series square root checked by re-expansion, and the
 multiplicity gcd follows from gcd(P, B) = 1 when P != 1, and from witness
-points showing B is no l-th power when P = 1.
+points showing B is no l-th power when P = 1.  The guesses are P = 1, the
+caller's learned lifts and the leading polynomial of the order-2
+recurrence that A's coefficients satisfy mod p: A is a polynomial solution
+mod p of the sequence's differential operator (f = A * f(t^p), and f(t^p)
+has zero derivative), and for the Apery, Domb and Almkvist-Zudilin
+truncations P is that operator's leading polynomial 1 - beta t - gamma t^2.
+A guess is only a guess: the exact checks of ``certify`` decide.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from ._record import record
 from .families import FAMILIES, get_family, in_classes
@@ -302,21 +309,90 @@ def certify(a: FpPoly, cofactor: FpPoly,
     return fact, GaloisResult.from_exponents(p, c, 2)
 
 
+# The recurrence guess solves for sum_{j<=2} c_j(n) a_(n+j) = 0 with each c_j
+# of degree <= GUESS_DEGREE in n, from the equations at n + 2 < p, at most
+# GUESS_EQUATIONS of them; with fewer than GUESS_MIN_EQUATIONS (p < 18) it
+# makes no guess.  The 12 unknowns leave 24 spare equations at large p.
+GUESS_DEGREE = 3
+GUESS_EQUATIONS = 36
+GUESS_MIN_EQUATIONS = 16
+
+
+def _recurrence_cofactor(coeffs, p: int) -> FpPoly | None:
+    """The monic leading polynomial l_2 + l_1 t + l_0 t^2 of an order-2
+    recurrence sum_j c_j(n) a_(n+j) = 0 mod p that the first p coefficients
+    a_n satisfy (zero-padded to p), l_j the coefficient of c_j at the top
+    degree in n; None when no such recurrence of degree <= GUESS_DEGREE
+    exists, the equations are too few, or the polynomial is constant.
+
+    A nonzero vector of the nullspace is found by Gaussian elimination mod p.
+    Every multiple of the minimal recurrence within the ansatz has the same
+    leading polynomial up to scale, so any vector does; a nullspace that
+    holds more than those multiples gives some polynomial, which is only a
+    guess for ``certify`` to prove or reject.
+    """
+    cs = list(coeffs) + [0] * (p - len(coeffs))
+    count = min(GUESS_EQUATIONS, p - 2)
+    if count < GUESS_MIN_EQUATIONS:
+        return None
+    width = GUESS_DEGREE + 1
+    # column j * width + i holds the coefficient of n^i in c_j
+    rows = []
+    for n in range(count):
+        powers = [pow(n, i, p) for i in range(width)]
+        rows.append([x * cs[n + j] % p for j in range(3) for x in powers])
+    pivots: list[int] = []  # reduced row echelon form: the pivot column of each row
+    for col in range(3 * width):
+        rank = len(pivots)
+        r = next((r for r in range(rank, count) if rows[r][col]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        inv = inv_mod(rows[rank][col], p)
+        pivot = rows[rank] = [x * inv % p for x in rows[rank]]
+        for k, row in enumerate(rows):
+            f = row[col]
+            if f and k != rank:
+                rows[k] = [(x - f * y) % p for x, y in zip(row, pivot)]
+        pivots.append(col)
+    free = next((col for col in range(3 * width) if col not in pivots), None)
+    if free is None:
+        return None
+    vec = [0] * (3 * width)
+    vec[free] = 1
+    for r, col in enumerate(pivots):
+        vec[col] = -rows[r][free] % p
+    top = max(i for i in range(width) for j in range(3) if vec[j * width + i])
+    lead = FpPoly([vec[j * width + top] for j in (2, 1, 0)], p)
+    return lead.monic() if lead.degree > 0 else None
+
+
 def compute_record(seq: SequenceSpec, p: int, cofactors=()) -> TruncationRecord:
     """The record of ``seq`` at p.
 
-    The truncation is certified with the cofactor P = 1 and then with each
-    of ``cofactors`` (integer coefficient tuples, constant first) reduced
-    mod p and made monic, each distinct guess once, in order.  If no guess
-    is proved, one squarefree decomposition gives both the factorization
-    and the degree.  A certified factorization is the one the
-    decomposition gives, so the guesses change only the time a record
-    takes, never the record.
+    The truncation is certified with the cofactor P = 1, then with each of
+    ``cofactors`` (integer coefficient tuples, constant first) reduced mod
+    p and made monic, and then with the leading polynomial of the order-2
+    recurrence its coefficients satisfy (``_recurrence_cofactor``), each
+    distinct guess once, in order.  If no guess is proved, one squarefree
+    decomposition gives both the factorization and the degree.  A
+    certified factorization is the one the decomposition gives, so the
+    guesses change only the time a record takes, never the record.
+
+    Why the recurrence guess is often right: f = A_p * f(t^p), and f(t^p)
+    has zero derivative in characteristic p, so A_p is a polynomial
+    solution mod p of the differential operator of the sequence's
+    recurrence, whose leading polynomial 1 - beta t - gamma t^2 (beta,
+    gamma the leading coefficients of b(n), c(n)) is the non-square
+    cofactor of the Apery, Domb and Almkvist-Zudilin truncations.  It is
+    read off A alone, never off a family's predicted cofactor, so
+    ``--check-theorem`` still compares independent computations; where it
+    is not P (Franel's A is squarefree, a181418's P is often linear) the
+    exact checks of ``certify`` reject it.
     """
     a = truncation_poly(seq, p)
     a_values: list[int] = []  # A at the filter points, shared by the guesses
-    guesses = [FpPoly.one(p)] + [FpPoly(c, p).monic() for c in cofactors]
-    for guess in dict.fromkeys(guesses):
+    for guess in _guesses(a, cofactors):
         found = certify(a, guess, a_values)
         if found:
             break
@@ -324,3 +400,17 @@ def compute_record(seq: SequenceSpec, p: int, cofactors=()) -> TruncationRecord:
         parts = a.squarefree_decomposition()  # shared by both results
         found = SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)
     return TruncationRecord(seq.key, p, a, *found)
+
+
+def _guesses(a: FpPoly, cofactors):
+    """The distinct cofactors ``compute_record`` tries, in order; the
+    recurrence guess is made only once the others have failed."""
+    p = a.p
+    tried = set()
+    for guess in chain([FpPoly.one(p)], (FpPoly(c, p).monic() for c in cofactors)):
+        if guess not in tried:
+            tried.add(guess)
+            yield guess
+    guess = _recurrence_cofactor(a.coeffs, p)
+    if guess is not None and guess not in tried:
+        yield guess

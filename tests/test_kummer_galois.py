@@ -4,13 +4,15 @@ from aperylike import kummer_galois
 from aperylike.finite_field import mult_order
 from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
-                                     GaloisResult, certify,
+                                     GaloisResult, _recurrence_cofactor, certify,
                                      compute_record, galois_degree,
                                      involution_analysis,
                                      predicted_cofactor, predicted_group,
                                      verify_kummer_relation)
-from aperylike.sequences import CATALOG, coefficients_mod_p, load_external
+from aperylike.sequences import (CATALOG, coefficients_mod_p, load_external,
+                                 truncation_poly)
 from tests.conftest import primes_between, random_poly, random_squarefree
+from tests.test_golden import write_apery_bfile
 
 
 class TestKummerRelation:
@@ -72,7 +74,7 @@ class TestGaloisDegree:
             b = random_poly(rng, p, 1, nonzero=True)
             assert galois_degree(a * b ** (p - 1)).degree == galois_degree(a).degree
 
-    @pytest.mark.parametrize("key", ["apery", "domb", "az", "a005260"])
+    @pytest.mark.parametrize("key", ["apery", "domb", "az", "a005260", "franel"])
     def test_record_decomposes_once(self, key, monkeypatch):
         calls = []
         original = FpPoly.squarefree_decomposition
@@ -86,8 +88,14 @@ class TestGaloisDegree:
             with monkeypatch.context() as m:
                 m.setattr(FpPoly, "squarefree_decomposition", counting)
                 rec = compute_record(CATALOG[key], p)
-            # none where certify proves P = 1, else one for both results
-            assert calls == ([] if certify(rec.trunc, FpPoly.one(p)) else [p])
+            # none where certify proves P = 1 or the recurrence guess, else
+            # one for both results (franel's A is squarefree: always one)
+            guess = _recurrence_cofactor(rec.trunc.coeffs, p)
+            certified = (certify(rec.trunc, FpPoly.one(p))
+                         or guess is not None and certify(rec.trunc, guess))
+            assert calls == ([] if certified else [p])
+            if key == "franel":
+                assert calls == [p]
             assert rec.factorization == rec.trunc.square_cofactor()
             assert rec.galois == galois_degree(rec.trunc)
 
@@ -169,6 +177,46 @@ class TestCertify:
                     assert got[0].cofactor == cand.monic()
                     certified += 1
         assert certified > 100
+
+
+class TestRecurrenceGuess:
+    @pytest.mark.parametrize("p", [29, 101, 499])
+    def test_leading_polynomial_of_the_recurrence(self, p):
+        # the oracle is the row's own recurrence data: 1 - beta t - gamma t^2
+        # with beta, gamma the leading coefficients of b(n) and c(n)
+        for key, seq in CATALOG.items():
+            want = FpPoly([1, -seq.terms.b[-1], -seq.terms.c[-1]], p).monic()
+            assert _recurrence_cofactor(coefficients_mod_p(seq, p, p), p) == want, key
+
+    def test_no_guess_from_too_few_equations(self):
+        # p = 17 leaves 15 equations n + 2 < p, below GUESS_MIN_EQUATIONS
+        cs = coefficients_mod_p(CATALOG["apery"], 17, 17)
+        assert _recurrence_cofactor(cs, 17) is None
+        assert _recurrence_cofactor(coefficients_mod_p(CATALOG["apery"], 19, 19), 19) is not None
+
+    def test_no_guess_without_a_recurrence(self, rng):
+        for p in (29, 101, 499):
+            assert _recurrence_cofactor([rng.randrange(p) for _ in range(p)], p) is None
+
+    def test_bfile_record_without_decomposition(self, tmp_path, monkeypatch):
+        # 109 is a FULL-class prime with no lift to guess from: the parent
+        # decomposed A here, the recurrence guess certifies it
+        path = tmp_path / "apery.b"
+        write_apery_bfile(path, 120)
+        seq = load_external(path)
+        want = decomposed(truncation_poly(seq, 109))
+        calls = []
+        original = FpPoly.squarefree_decomposition
+
+        def counting(self):
+            calls.append(self.p)
+            return original(self)
+
+        monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
+        rec = compute_record(seq, 109)
+        assert calls == []
+        assert (rec.factorization, rec.galois) == want
+        assert rec.factorization.cofactor == FpPoly([1, -34, 1], 109)
 
 
 class TestPredictions:

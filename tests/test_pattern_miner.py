@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import logging
 import pickle
+import random
 
 import pytest
 
@@ -397,7 +398,9 @@ class TestSweepCache:
         assert len(cache.read_text().splitlines()) == len(lines)
 
 
-ORACLE_KEYS = [*CATALOG, "gen:2,2", "bfile"]
+# "random-bfile" is a seeded table of random values, which satisfies no
+# order-2 recurrence: every FULL-class record falls back to the decomposition
+ORACLE_KEYS = [*CATALOG, "gen:2,2", "bfile", "random-bfile"]
 # Learned lifts that are wrong at almost every prime below (1 + 5t + t^2 is
 # the Apery cofactor only at p = 13): tried at each FULL-class prime after
 # the sweep's own lifts, each must be rejected or proved exactly.
@@ -415,11 +418,20 @@ def apery_bfile(tmp_path_factory):
     return load_external(path)
 
 
+@pytest.fixture(scope="module")
+def random_bfile(tmp_path_factory):
+    rng = random.Random(0x5EED)
+    path = tmp_path_factory.mktemp("bfile") / "random.b"
+    path.write_text("".join(f"{n} {rng.randrange(10 ** 30)}\n" for n in range(300)))
+    return load_external(path)
+
+
 class TestRecords:
     @pytest.mark.parametrize("key", ORACLE_KEYS)
-    def test_match_compute_record(self, key, apery_bfile, monkeypatch):
+    def test_match_compute_record(self, key, apery_bfile, random_bfile, monkeypatch):
         # the oracle is the squarefree decomposition alone, never certify
-        seq = apery_bfile if key == "bfile" else get_sequence(key)
+        tables = {"bfile": apery_bfile, "random-bfile": random_bfile}
+        seq = tables[key] if key in tables else get_sequence(key)
         ps = primes_in_range(5, 300)
         truncs = [truncation_poly(seq, p) for p in ps]
         want = [TruncationRecord(seq.key, p, a, a.square_cofactor(), galois_degree(a))
@@ -461,11 +473,12 @@ class TestRecords:
         assert len(capsys.readouterr().out.splitlines()) == len(primes_in_range(71, 350))
 
     # the squarefree decompositions `records` makes over the 93 primes in 5..500,
-    # one per prime it cannot certify from P = 1 or a learned lift; franel's
-    # B = 1, so it never learns one and decomposes at every prime
-    DECOMPOSITIONS = {"apery": 11, "domb": 16, "az": 20, "franel": 93, "a229111": 30,
-                      "a290575": 9, "a290576": 8, "a274786": 12, "a181418": 22,
-                      "a183204": 8, "a005260": 12}
+    # one per prime it cannot certify from P = 1, a learned lift or the
+    # recurrence guess (none below p = 19); franel's A is squarefree, so no
+    # guess is ever proved and it decomposes at every prime
+    DECOMPOSITIONS = {"apery": 2, "domb": 3, "az": 3, "franel": 93, "a229111": 3,
+                      "a290575": 3, "a290576": 2, "a274786": 4, "a181418": 9,
+                      "a183204": 3, "a005260": 5}
 
     @pytest.mark.parametrize("key", sorted(DECOMPOSITIONS))
     def test_decompositions_do_not_rise(self, monkeypatch, key):
