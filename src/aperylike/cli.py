@@ -204,7 +204,7 @@ def _cmd_galois(args) -> int:
         raise UsageError(f"--check-theorem needs a family sequence, not {seq.key}")
     rows = []
     status = EXIT_OK
-    for rec in pattern_miner.records(seq, _primes_for(args)):
+    for rec in (kummer_galois.compute_record(seq, p) for p in _primes_for(args)):
         row = {"p": rec.p, "degree": rec.galois.degree, "label": rec.galois.describe()}
         if check:
             row["predicted"] = rec.predicted_label

@@ -9,25 +9,24 @@ leading constant and on the gcd of the multiplicities of A_p.
 the squarefree decomposition, unless ``certify`` proves a guessed cofactor
 P: B is then a series square root checked by re-expansion, and the
 multiplicity gcd follows from gcd(P, B) = 1 when P != 1, and from witness
-points showing B is no l-th power when P = 1.  The guesses are P = 1, the
-caller's learned lifts and the leading polynomial of the order-2
-recurrence that A's coefficients satisfy mod p: A is a polynomial solution
-mod p of the sequence's differential operator (f = A * f(t^p), and f(t^p)
-has zero derivative), and for the Apery, Domb and Almkvist-Zudilin
-truncations P is that operator's leading polynomial 1 - beta t - gamma t^2.
-A guess is only a guess: the exact checks of ``certify`` decide.
+points showing B is no l-th power when P = 1.  The guesses are P = 1 and
+gcd(A, L), L = 1 - beta t - gamma t^2 the leading polynomial of the
+sequence's order-2 recurrence: A is a polynomial solution mod p of the
+sequence's differential operator (f = A * f(t^p), and f(t^p) has zero
+derivative), and over the primes 7..1000 every catalog truncation but
+Franel's squarefree one has P = 1, P = L or P a linear factor of L.  A
+guess is only a guess: the exact checks of ``certify`` decide.
 """
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 from ._record import record
 from .families import FAMILIES, get_family, in_classes
 from .finite_field import check_prime, factorize, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
-from .sequences import (FrobeniusReport, SequenceSpec, coefficients_mod_p,
+from .sequences import (FrobeniusReport, Recurrence, SequenceSpec, coefficients_mod_p,
                         kummer_mismatch, truncation_poly)
 
 LABEL_S = "S"
@@ -367,50 +366,53 @@ def _recurrence_cofactor(coeffs, p: int) -> FpPoly | None:
     return lead.monic() if lead.degree > 0 else None
 
 
-def compute_record(seq: SequenceSpec, p: int, cofactors=()) -> TruncationRecord:
+def _leading_polynomial(seq: SequenceSpec, a: FpPoly) -> FpPoly | None:
+    """L = 1 - beta t - gamma t^2 mod p for the recurrence of ``seq``, or None.
+
+    A catalog row's beta and gamma are the coefficients of n^k in b(n) and
+    c(n) (0 past the end of a shorter tuple).  A b-file or ``gen:r,s``
+    stores no recurrence, so L is the monic leading polynomial of the one
+    its truncation A satisfies (``_recurrence_cofactor``).
+    """
+    rec = seq.terms
+    if isinstance(rec, Recurrence):
+        beta, gamma = (x[rec.k] if len(x) > rec.k else 0 for x in (rec.b, rec.c))
+        return FpPoly([1, -beta, -gamma], a.p)
+    return _recurrence_cofactor(a.coeffs, a.p)
+
+
+def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     """The record of ``seq`` at p.
 
-    The truncation is certified with the cofactor P = 1, then with each of
-    ``cofactors`` (integer coefficient tuples, constant first) reduced mod
-    p and made monic, and then with the leading polynomial of the order-2
-    recurrence its coefficients satisfy (``_recurrence_cofactor``), each
-    distinct guess once, in order.  If no guess is proved, one squarefree
-    decomposition gives both the factorization and the degree.  A
-    certified factorization is the one the decomposition gives, so the
-    guesses change only the time a record takes, never the record.
+    The truncation A is certified with the cofactor P = 1, then with
+    gcd(A, L) when it has positive degree, L the leading polynomial of the
+    sequence's recurrence (``_leading_polynomial``).  If neither is proved,
+    one squarefree decomposition gives both the factorization and the
+    degree.  A certified factorization is the one the decomposition gives,
+    so the guesses change only the time a record takes, never the record.
 
-    Why the recurrence guess is often right: f = A_p * f(t^p), and f(t^p)
-    has zero derivative in characteristic p, so A_p is a polynomial
-    solution mod p of the differential operator of the sequence's
-    recurrence, whose leading polynomial 1 - beta t - gamma t^2 (beta,
-    gamma the leading coefficients of b(n), c(n)) is the non-square
-    cofactor of the Apery, Domb and Almkvist-Zudilin truncations.  It is
-    read off A alone, never off a family's predicted cofactor, so
-    ``--check-theorem`` still compares independent computations; where it
-    is not P (Franel's A is squarefree, a181418's P is often linear) the
-    exact checks of ``certify`` reject it.
+    Why gcd(A, L) is often P: f = A * f(t^p), and f(t^p) has zero
+    derivative in characteristic p, so A is a polynomial solution mod p of
+    the differential operator of the sequence's recurrence, whose leading
+    polynomial is L.  Over the primes 7..1000, P != 1 is L for eight
+    catalog rows (Apery, Domb and Almkvist-Zudilin among them), and L or
+    one linear factor of L for a181418 and a005260; where gcd(A, L) is not
+    P (Franel's A is squarefree) the exact checks of ``certify`` reject it.
+
+    L comes from the sequence's own recurrence row, or from A itself, and
+    never from a ``FamilySpec``; and the record does not depend on what is
+    guessed.  So ``--check-theorem`` still compares a proved factorization
+    with the family's prediction, two independent computations.
     """
     a = truncation_poly(seq, p)
     a_values: list[int] = []  # A at the filter points, shared by the guesses
-    for guess in _guesses(a, cofactors):
-        found = certify(a, guess, a_values)
-        if found:
-            break
-    else:
+    found = certify(a, FpPoly.one(p), a_values)
+    if not found:
+        lead = _leading_polynomial(seq, a)
+        guess = gcd(a, lead) if lead is not None else None
+        if guess is not None and guess.degree > 0:
+            found = certify(a, guess, a_values)
+    if not found:
         parts = a.squarefree_decomposition()  # shared by both results
         found = SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)
     return TruncationRecord(seq.key, p, a, *found)
-
-
-def _guesses(a: FpPoly, cofactors):
-    """The distinct cofactors ``compute_record`` tries, in order; the
-    recurrence guess is made only once the others have failed."""
-    p = a.p
-    tried = set()
-    for guess in chain([FpPoly.one(p)], (FpPoly(c, p).monic() for c in cofactors)):
-        if guess not in tried:
-            tried.add(guess)
-            yield guess
-    guess = _recurrence_cofactor(a.coeffs, p)
-    if guess is not None and guess not in tried:
-        yield guess

@@ -22,7 +22,7 @@ import sys
 from ._record import record
 from .families import in_classes
 from .finite_field import check_prime, factorize, is_prime, legendre
-from .fp_poly import FpPoly, SquareCofactor
+from .fp_poly import FpPoly
 from .kummer_galois import TruncationRecord, compute_record
 from .sequences import SequenceSpec
 
@@ -358,41 +358,6 @@ def infer_conditions(
                          unmatched=tuple(unmatched))
 
 
-# -- records ---------------------------------------------------------------------
-
-
-def records(seq: SequenceSpec, primes, learned: list[tuple[int, ...]] | None = None
-            ) -> list[TruncationRecord]:
-    """The ``compute_record`` record of each prime, in the order given, with
-    the learned lifts, newest first, as its guessed cofactors.
-
-    A record's cofactor lift is learned, as its coefficient tuple, when it
-    is reliable, not constant, of lower degree than the record's root, and
-    new (``_learn``).  The lifts come from records of the sequence alone,
-    never from a prediction, so ``--check-theorem`` still compares two
-    independent computations.  ``learned`` carries them from call to call
-    (a pool worker keeps one list for all its tasks, and ``sweep`` seeds it
-    with its cache hits).
-    """
-    learned = [] if learned is None else learned
-    out = []
-    for p in primes:
-        rec = compute_record(seq, p, reversed(learned))
-        _learn(learned, rec.factorization, p)
-        out.append(rec)
-    return out
-
-
-def _learn(learned: list[tuple[int, ...]], fact: SquareCofactor, p: int) -> None:
-    """Append the coefficients of the lift of the cofactor of A = c*P*B^2 at
-    p to ``learned`` when it is reliable, 0 < deg P < deg B and the lift is
-    new.  ``compute_record`` tries P = 1 first, so it is never learned."""
-    if 0 < fact.cofactor.degree < fact.root.degree:
-        lift = lift_cofactor(fact.cofactor, p)
-        if lift.reliable and lift.coeffs not in learned:
-            learned.append(lift.coeffs)
-
-
 # -- sweeping + cache --------------------------------------------------------------
 
 
@@ -440,21 +405,17 @@ def append_cache(path, records: list[TruncationRecord]) -> None:
 
 
 # The sequence of a pool worker, set once per worker process by the pool's
-# initializer, so that the mapped tasks carry only primes, and the cofactor
-# lifts the worker has learned, which ``records`` carries across its tasks
-# (seeded with the lifts of the sweep's cache hits).
+# initializer, so that the mapped tasks carry only primes.
 _worker_seq: SequenceSpec | None = None
-_worker_learned: list[tuple[int, ...]] = []
 
 
-def _init_worker(seq: SequenceSpec, *learned: tuple[int, ...]) -> None:
-    global _worker_seq, _worker_learned
+def _init_worker(seq: SequenceSpec) -> None:
+    global _worker_seq
     _worker_seq = seq
-    _worker_learned = list(learned)
 
 
 def _worker_record(p: int) -> TruncationRecord:
-    return records(_worker_seq, [p], _worker_learned)[0]
+    return compute_record(_worker_seq, p)
 
 
 def sweep(
@@ -466,17 +427,16 @@ def sweep(
 ) -> list[TruncationRecord]:
     """One TruncationRecord per prime in [lo, hi], cache-backed.
 
-    Fresh records come from ``records``, serially or in the process pool,
-    whose map hands each worker contiguous chunks of primes.  They are the
-    records of the uncached primes and of the spot check, a seeded sample
-    of ~1% of the cache hits that the sequence can recompute: a hit past
-    the end of an external table is served from the cache alone.  External
-    sequences are skipped (with a warning) at uncached primes their table
-    cannot cover.  ``records`` starts with the lifts the cache hits teach,
-    in ascending p, so a resumed sweep need not relearn them.  Results are sorted by p and
-    independent of thread count.  A sampled hit that differs from its
-    fresh record is stale: it is replaced and, like every new record,
-    appended to the cache; the last line for a prime wins.
+    Fresh records come from ``compute_record``, serially or in the process
+    pool, whose map hands each worker contiguous chunks of primes.  They are
+    the records of the uncached primes and of the spot check, a seeded
+    sample of ~1% of the cache hits that the sequence can recompute: a hit
+    past the end of an external table is served from the cache alone.
+    External sequences are skipped (with a warning) at uncached primes their
+    table cannot cover.  A record depends on its prime alone, so results
+    are sorted by p and independent of thread count.  A sampled hit that
+    differs from its fresh record is stale: it is replaced and, like every
+    new record, appended to the cache; the last line for a prime wins.
     """
     ps = primes_in_range(lo, hi)
     cached = read_cache(cache_path, seq.key, ps)
@@ -493,9 +453,6 @@ def sweep(
             _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
         elif p not in cached or p in sampled:
             todo.append(p)
-    learned: list[tuple[int, ...]] = []
-    for p in sorted(cached):
-        _learn(learned, cached[p].factorization, p)
 
     if threads > 1 and len(todo) > 1:
         # imported here, so that serial runs do not load multiprocessing
@@ -505,11 +462,11 @@ def sweep(
         # pool starts all of its workers at once
         workers = min(threads, len(todo))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(seq, *learned)) as pool:
+                                 initargs=(seq,)) as pool:
             fresh = list(pool.map(_worker_record, todo,
                                   chunksize=max(1, len(todo) // (4 * workers))))
     else:
-        fresh = records(seq, todo, learned)
+        fresh = [compute_record(seq, p) for p in todo]
 
     changed = [rec for rec in fresh if cached.get(rec.p) != rec]
     for rec in changed:

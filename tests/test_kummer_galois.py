@@ -2,9 +2,10 @@ import pytest
 
 from aperylike import kummer_galois
 from aperylike.finite_field import mult_order
-from aperylike.fp_poly import FpPoly, SquareCofactor
+from aperylike.fp_poly import FpPoly, SquareCofactor, gcd
 from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
-                                     GaloisResult, _recurrence_cofactor, certify,
+                                     GaloisResult, _leading_polynomial,
+                                     _recurrence_cofactor, certify,
                                      compute_record, galois_degree,
                                      involution_analysis,
                                      predicted_cofactor, predicted_group,
@@ -88,11 +89,11 @@ class TestGaloisDegree:
             with monkeypatch.context() as m:
                 m.setattr(FpPoly, "squarefree_decomposition", counting)
                 rec = compute_record(CATALOG[key], p)
-            # none where certify proves P = 1 or the recurrence guess, else
-            # one for both results (franel's A is squarefree: always one)
-            guess = _recurrence_cofactor(rec.trunc.coeffs, p)
+            # none where certify proves P = 1 or gcd(A, L), else one for
+            # both results (franel's A is squarefree: always one)
+            guess = gcd(rec.trunc, _leading_polynomial(CATALOG[key], rec.trunc))
             certified = (certify(rec.trunc, FpPoly.one(p))
-                         or guess is not None and certify(rec.trunc, guess))
+                         or guess.degree > 0 and certify(rec.trunc, guess))
             assert calls == ([] if certified else [p])
             if key == "franel":
                 assert calls == [p]
@@ -187,6 +188,16 @@ class TestRecurrenceGuess:
         for key, seq in CATALOG.items():
             want = FpPoly([1, -seq.terms.b[-1], -seq.terms.c[-1]], p).monic()
             assert _recurrence_cofactor(coefficients_mod_p(seq, p, p), p) == want, key
+
+    def test_row_agrees_with_elimination(self):
+        # L read off each catalog row's b(n), c(n) is the L that elimination
+        # finds from A alone, so reading the wrong entry of a row's tuples
+        # fails here; at p = 19 the two differ for a181418 and a274786
+        for key, seq in CATALOG.items():
+            for p in primes_between(23, 400):
+                cs = coefficients_mod_p(seq, p, p)
+                want = _leading_polynomial(seq, FpPoly(cs, p)).monic()
+                assert _recurrence_cofactor(cs, p) == want, (key, p)
 
     def test_no_guess_from_too_few_equations(self):
         # p = 17 leaves 15 equations n + 2 < p, below GUESS_MIN_EQUATIONS

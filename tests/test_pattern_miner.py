@@ -8,13 +8,13 @@ import pytest
 
 from aperylike import cli, kummer_galois, pattern_miner
 from aperylike.fp_poly import FpPoly, SquareCofactor
-from aperylike.kummer_galois import (GaloisResult, TruncationRecord, compute_record,
-                                     galois_degree)
+from aperylike.kummer_galois import (GaloisResult, TruncationRecord, certify,
+                                     compute_record, galois_degree)
 from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
                                      LegendreProfile, cluster_records,
                                      infer_conditions, lift_cofactor, mine,
                                      poly_str, primes_in_range, read_cache,
-                                     records, report_table, sweep)
+                                     report_table, sweep)
 from aperylike.sequences import CATALOG, get_sequence, load_external, truncation_poly
 from tests.conftest import exact_terms
 from tests.test_golden import write_apery_bfile
@@ -321,9 +321,9 @@ class TestSweepCache:
 
         calls = []
 
-        def counting(seq, p, cofactors=()):
+        def counting(seq, p):
             calls.append(p)
-            return compute_record(seq, p, cofactors)
+            return compute_record(seq, p)
 
         monkeypatch.setattr(pattern_miner, "compute_record", counting)
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
@@ -336,9 +336,10 @@ class TestSweepCache:
         assert f"cached record at p={sampled} is stale" in caplog.text
 
     def test_resumed_sweep_starts_with_cached_lifts(self, tmp_path, monkeypatch):
-        # the cached records above 400 teach the lift of 1 - 34t + t^2, so
-        # neither the primes 300..399 nor the spot check's sampled hit needs
-        # a decomposition
+        # every Apery record from 300 up is certified from P = 1 or from
+        # gcd(A, L) = 1 - 34t + t^2, so neither the primes 300..399 nor the
+        # spot check's sampled hit needs a decomposition, whatever the cache
+        # holds
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 400, 499, cache_path=cache)
         calls = []
@@ -401,10 +402,10 @@ class TestSweepCache:
 # "random-bfile" is a seeded table of random values, which satisfies no
 # order-2 recurrence: every FULL-class record falls back to the decomposition
 ORACLE_KEYS = [*CATALOG, "gen:2,2", "bfile", "random-bfile"]
-# Learned lifts that are wrong at almost every prime below (1 + 5t + t^2 is
-# the Apery cofactor only at p = 13): tried at each FULL-class prime after
-# the sweep's own lifts, each must be rejected or proved exactly.
-ADVERSARIAL_LIFTS = [
+# Cofactor guesses that are wrong at almost every prime below (1 + 5t + t^2
+# is the Apery cofactor only at p = 13): ``certify`` must reject each or
+# prove it exactly.
+ADVERSARIAL_GUESSES = [
     (1, 5, 1),  # a wrong quadratic
     (1, 3),     # odd degree: the wrong parity
     (1, 2, 1),  # (1 + t)^2, a repeated factor
@@ -437,26 +438,18 @@ class TestRecords:
         want = [TruncationRecord(seq.key, p, a, a.square_cofactor(), galois_degree(a))
                 for p, a in zip(ps, truncs)]
         assert [compute_record(seq, p) for p in ps] == want
-        assert records(seq, ps) == want
-        assert records(seq, ps, list(ADVERSARIAL_LIFTS)) == want
-        # with the pre-filter off, only the exact checks reject a guess
-        monkeypatch.setattr(kummer_galois, "FILTER_POINTS", 0)
-        assert records(seq, ps, list(ADVERSARIAL_LIFTS)) == want
-
-    def test_learns_reliable_lifts_of_low_degree(self):
-        learned = []
-        records(CATALOG["apery"], primes_in_range(71, 120), learned)
-        assert learned[0] == (1, -34, 1)
-        learned = []
-        records(CATALOG["apery"], primes_in_range(5, 60), learned)
-        assert learned[0] == (1, 5, 1)  # not (1,): P = 1 is always tried first
-        learned = []
-        records(CATALOG["franel"], primes_in_range(5, 120), learned)
-        assert learned == []  # the Franel truncations are squarefree: B = 1
+        # a wrong guess is rejected or proved exactly, also with the
+        # pre-filter off, when only the exact checks reject it
+        for filter_points in (kummer_galois.FILTER_POINTS, 0):
+            monkeypatch.setattr(kummer_galois, "FILTER_POINTS", filter_points)
+            for rec in want:
+                for guess in ADVERSARIAL_GUESSES:
+                    got = certify(rec.trunc, FpPoly(guess, rec.p))
+                    assert got in (None, (rec.factorization, rec.galois)), (rec.p, guess)
 
     def test_one_decomposition_after_the_first_exact_lift(self, monkeypatch, capsys):
-        # 71 is the first FULL-class prime where the lift of 1 - 34t + t^2 is
-        # exact; every later prime is certified from P = 1 or that lift
+        # every Apery prime from 71 up is certified from P = 1 or from
+        # gcd(A, L) = 1 - 34t + t^2, by compute_record and by the CLI
         calls = []
         original = FpPoly.squarefree_decomposition
 
@@ -465,20 +458,20 @@ class TestRecords:
             return original(self)
 
         monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
-        records(CATALOG["apery"], primes_in_range(71, 350))
-        assert len(calls) <= 1
-        calls.clear()
+        for p in primes_in_range(71, 350):
+            compute_record(CATALOG["apery"], p)
+        assert calls == []
         assert cli.main(["galois", "--seq", "apery", "--primes", "71..350"]) == 0
-        assert len(calls) <= 1
+        assert calls == []
         assert len(capsys.readouterr().out.splitlines()) == len(primes_in_range(71, 350))
 
-    # the squarefree decompositions `records` makes over the 93 primes in 5..500,
-    # one per prime it cannot certify from P = 1, a learned lift or the
-    # recurrence guess (none below p = 19); franel's A is squarefree, so no
-    # guess is ever proved and it decomposes at every prime
-    DECOMPOSITIONS = {"apery": 2, "domb": 3, "az": 3, "franel": 93, "a229111": 3,
-                      "a290575": 3, "a290576": 2, "a274786": 4, "a181418": 9,
-                      "a183204": 3, "a005260": 5}
+    # the squarefree decompositions `compute_record` makes over the 93 primes
+    # in 5..500, one per prime it cannot certify from P = 1 or gcd(A, L)
+    # (a229111, a181418, a183204 and a005260 at p = 5); franel's A is
+    # squarefree, so no guess is ever proved and it decomposes at every prime
+    DECOMPOSITIONS = {"apery": 0, "domb": 0, "az": 0, "franel": 93, "a229111": 1,
+                      "a290575": 0, "a290576": 0, "a274786": 0, "a181418": 1,
+                      "a183204": 1, "a005260": 1}
 
     @pytest.mark.parametrize("key", sorted(DECOMPOSITIONS))
     def test_decompositions_do_not_rise(self, monkeypatch, key):
@@ -491,7 +484,8 @@ class TestRecords:
             return original(self)
 
         monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
-        records(CATALOG[key], primes_in_range(5, 500))
+        for p in primes_in_range(5, 500):
+            compute_record(CATALOG[key], p)
         assert len(calls) <= self.DECOMPOSITIONS[key]
 
 
@@ -521,7 +515,6 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(pattern_miner, "_worker_seq", None)
-    monkeypatch.setattr(pattern_miner, "_worker_learned", [])
     return made
 
 
@@ -555,15 +548,15 @@ class TestDeterminism:
 
     def test_spot_check_runs_in_the_pool(self, tmp_path, pools):
         # a half-warm cache: the sampled hit is one more task of the pool,
-        # started with the lifts the cache teaches, and the output and the
-        # cache are the serial sweep's
+        # whose workers get the sequence alone, and the output and the cache
+        # are the serial sweep's
         seq = CATALOG["apery"]
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
         sweep(seq, 5, 100, cache_path=serial)
         parallel.write_text(serial.read_text())
         out = sweep(seq, 5, 200, cache_path=parallel, threads=2)
         (pool,) = pools
-        assert pool.initargs[-1] == (1, -34, 1)
+        assert pool.initargs == (seq,)
         tasks = [pickle.loads(task)[1] for task in pool.tasks]
         assert tasks[0] <= 100 and tasks[1:] == primes_in_range(101, 200)
         assert out == sweep(seq, 5, 200, cache_path=serial, threads=1)
