@@ -11,11 +11,12 @@ P: B is then a series square root checked by re-expansion, and the
 multiplicity gcd follows from gcd(P, B) = 1 when P != 1, and from witness
 points showing B is no l-th power when P = 1.  The guesses are P = 1 and
 gcd(A, L), L = 1 - beta t - gamma t^2 the leading polynomial of the
-sequence's order-2 recurrence: A is a polynomial solution mod p of the
-sequence's differential operator (f = A * f(t^p), and f(t^p) has zero
-derivative), and over the primes 7..1000 every catalog truncation but
-Franel's squarefree one has P = 1, P = L or P a linear factor of L.  A
-guess is only a guess: the exact checks of ``certify`` decide.
+sequence's order-2 recurrence (``SequenceSpec.lead``): A is a polynomial
+solution mod p of the sequence's differential operator (f = A * f(t^p),
+and f(t^p) has zero derivative), and over the primes 7..1000 every catalog
+truncation but Franel's squarefree one has P = 1, P = L or P a linear
+factor of L.  A guess is only a guess: the exact checks of ``certify``
+decide.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from .families import FAMILIES, get_family, in_classes
 from .finite_field import check_prime, factorize, inv_mod, legendre, mult_order
 from .fp_poly import FpPoly, SquareCofactor, gcd
 from .fp_series import FpSeries
-from .sequences import (FrobeniusReport, Recurrence, SequenceSpec, coefficients_mod_p,
-                        kummer_mismatch, truncation_poly)
+from .sequences import (FrobeniusReport, SequenceSpec, coefficients_mod_p, kummer_mismatch,
+                        truncation_poly)
 
 LABEL_S = "S"
 LABEL_FULL = "FULL"
@@ -308,88 +309,15 @@ def certify(a: FpPoly, cofactor: FpPoly,
     return fact, GaloisResult.from_exponents(p, c, 2)
 
 
-# The recurrence guess solves for sum_{j<=2} c_j(n) a_(n+j) = 0 with each c_j
-# of degree <= GUESS_DEGREE in n, from the equations at n + 2 < p, at most
-# GUESS_EQUATIONS of them; with fewer than GUESS_MIN_EQUATIONS (p < 18) it
-# makes no guess.  The 12 unknowns leave 24 spare equations at large p.
-GUESS_DEGREE = 3
-GUESS_EQUATIONS = 36
-GUESS_MIN_EQUATIONS = 16
-
-
-def _recurrence_cofactor(coeffs, p: int) -> FpPoly | None:
-    """The monic leading polynomial l_2 + l_1 t + l_0 t^2 of an order-2
-    recurrence sum_j c_j(n) a_(n+j) = 0 mod p that the first p coefficients
-    a_n satisfy (zero-padded to p), l_j the coefficient of c_j at the top
-    degree in n; None when no such recurrence of degree <= GUESS_DEGREE
-    exists, the equations are too few, or the polynomial is constant.
-
-    A nonzero vector of the nullspace is found by Gaussian elimination mod p.
-    Every multiple of the minimal recurrence within the ansatz has the same
-    leading polynomial up to scale, so any vector does; a nullspace that
-    holds more than those multiples gives some polynomial, which is only a
-    guess for ``certify`` to prove or reject.
-    """
-    cs = list(coeffs) + [0] * (p - len(coeffs))
-    count = min(GUESS_EQUATIONS, p - 2)
-    if count < GUESS_MIN_EQUATIONS:
-        return None
-    width = GUESS_DEGREE + 1
-    # column j * width + i holds the coefficient of n^i in c_j
-    rows = []
-    for n in range(count):
-        powers = [pow(n, i, p) for i in range(width)]
-        rows.append([x * cs[n + j] % p for j in range(3) for x in powers])
-    pivots: list[int] = []  # reduced row echelon form: the pivot column of each row
-    for col in range(3 * width):
-        rank = len(pivots)
-        r = next((r for r in range(rank, count) if rows[r][col]), None)
-        if r is None:
-            continue
-        rows[rank], rows[r] = rows[r], rows[rank]
-        inv = inv_mod(rows[rank][col], p)
-        pivot = rows[rank] = [x * inv % p for x in rows[rank]]
-        for k, row in enumerate(rows):
-            f = row[col]
-            if f and k != rank:
-                rows[k] = [(x - f * y) % p for x, y in zip(row, pivot)]
-        pivots.append(col)
-    free = next((col for col in range(3 * width) if col not in pivots), None)
-    if free is None:
-        return None
-    vec = [0] * (3 * width)
-    vec[free] = 1
-    for r, col in enumerate(pivots):
-        vec[col] = -rows[r][free] % p
-    top = max(i for i in range(width) for j in range(3) if vec[j * width + i])
-    lead = FpPoly([vec[j * width + top] for j in (2, 1, 0)], p)
-    return lead.monic() if lead.degree > 0 else None
-
-
-def _leading_polynomial(seq: SequenceSpec, a: FpPoly) -> FpPoly | None:
-    """L = 1 - beta t - gamma t^2 mod p for the recurrence of ``seq``, or None.
-
-    A catalog row's beta and gamma are the coefficients of n^k in b(n) and
-    c(n) (0 past the end of a shorter tuple).  A b-file or ``gen:r,s``
-    stores no recurrence, so L is the monic leading polynomial of the one
-    its truncation A satisfies (``_recurrence_cofactor``).
-    """
-    rec = seq.terms
-    if isinstance(rec, Recurrence):
-        beta, gamma = (x[rec.k] if len(x) > rec.k else 0 for x in (rec.b, rec.c))
-        return FpPoly([1, -beta, -gamma], a.p)
-    return _recurrence_cofactor(a.coeffs, a.p)
-
-
 def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     """The record of ``seq`` at p.
 
     The truncation A is certified with the cofactor P = 1, then with
-    gcd(A, L) when it has positive degree, L the leading polynomial of the
-    sequence's recurrence (``_leading_polynomial``).  If neither is proved,
-    one squarefree decomposition gives both the factorization and the
-    degree.  A certified factorization is the one the decomposition gives,
-    so the guesses change only the time a record takes, never the record.
+    gcd(A, L) when ``seq.lead`` = L is set and the gcd has positive degree.
+    If neither is proved, one squarefree decomposition gives both the
+    factorization and the degree.  A certified factorization is the one the
+    decomposition gives, so the guesses change only the time a record
+    takes, never the record.
 
     Why gcd(A, L) is often P: f = A * f(t^p), and f(t^p) has zero
     derivative in characteristic p, so A is a polynomial solution mod p of
@@ -399,18 +327,18 @@ def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     one linear factor of L for a181418 and a005260; where gcd(A, L) is not
     P (Franel's A is squarefree) the exact checks of ``certify`` reject it.
 
-    L comes from the sequence's own recurrence row, or from A itself, and
-    never from a ``FamilySpec``; and the record does not depend on what is
-    guessed.  So ``--check-theorem`` still compares a proved factorization
-    with the family's prediction, two independent computations.
+    L is found once where the sequence is built, over the integers, never
+    per prime and never from a ``FamilySpec``; and the record does not
+    depend on what is guessed.  So ``--check-theorem`` still compares a
+    proved factorization with the family's prediction, two independent
+    computations.
     """
     a = truncation_poly(seq, p)
     a_values: list[int] = []  # A at the filter points, shared by the guesses
     found = certify(a, FpPoly.one(p), a_values)
-    if not found:
-        lead = _leading_polynomial(seq, a)
-        guess = gcd(a, lead) if lead is not None else None
-        if guess is not None and guess.degree > 0:
+    if not found and seq.lead is not None:
+        guess = gcd(a, FpPoly(seq.lead, p))
+        if guess.degree > 0:
             found = certify(a, guess, a_values)
     if not found:
         parts = a.squarefree_decomposition()  # shared by both results

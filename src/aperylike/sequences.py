@@ -2,17 +2,20 @@
 recurrences, and ingestion of external coefficient files.
 
 A sequence is its oracle ``exact``, which sums the defining formula with
-big-integer binomials, plus one residue source ``terms``.  Each source gives
-``residues(count, p)``, its first ``count`` values mod p, and ``size``, the
-number of terms it holds (None when it has no end); every residue, one index
-included, is read from ``residues``:
+big-integer binomials, one residue source ``terms``, and ``lead``, the
+leading polynomial L = 1 - beta t - gamma t^2 of its order-2 integer
+recurrence, found once where the sequence is built: read off a catalog row,
+or found from the first exact values (``_recurrence_lead``).  Each source
+gives ``residues(count, p)``, its first ``count`` values mod p, and ``size``,
+the number of terms it holds (None when it has no end); every residue, one
+index included, is read from ``residues``:
 
 * ``Recurrence``: a catalog row's (n+1)^k u_{n+1} = b(n) u_n + c(n) u_{n-1},
   stored as integer data and stepped modulo p^N, one step per coefficient.
   Below p, N = 1 and (n+1)^k is a unit mod p; each multiple of p costs k
   digits of p-adic precision per factor p (see ``Recurrence.residues``);
-* ``GenSum``: the generalized family ``gen:r,s``, which has no recurrence and
-  is summed in F_p with digit-wise (Lucas) binomials;
+* ``GenSum``: the generalized family ``gen:r,s``, which stores no recurrence
+  and is summed in F_p with digit-wise (Lucas) binomials;
 * ``CoefficientTable``: the values of an external b-file, which are also its
   ``exact``.
 
@@ -262,8 +265,9 @@ class GenSum:
 
 @record
 class SequenceSpec:
-    """A sequence: its oracle ``exact`` (n -> int) and its one residue source
-    ``terms``, a ``Recurrence``, ``GenSum`` or ``CoefficientTable``."""
+    """A sequence: its oracle ``exact`` (n -> int), its one residue source
+    ``terms``, a ``Recurrence``, ``GenSum`` or ``CoefficientTable``, and
+    ``lead``, L's integer coefficients, constant first, or None."""
 
     key: str
     description: str
@@ -271,6 +275,58 @@ class SequenceSpec:
     terms: Recurrence | GenSum | CoefficientTable
     level: int | None = None
     oeis: str | None = None
+    lead: tuple[int, ...] | None = None
+
+
+# The finder reads the first _LEAD_TERMS values: the equations at n < 20 for
+# the 12 coefficients of c_0, c_1, c_2, each of degree <= 3 in n.
+_LEAD_TERMS = 22
+
+
+def _recurrence_lead(exact, size: int | None = None) -> tuple[int, ...] | None:
+    """L = (l_2, l_1, l_0), constant first, for an integer recurrence
+    sum_{j<=2} c_j(n) a_(n+j) = 0, deg c_j <= 3, that a_n = exact(n)
+    satisfies at n < 20, l_j the top coefficient of c_j in n, with content 1
+    and first nonzero entry positive; None when ``size`` (the values
+    ``exact`` holds) is below _LEAD_TERMS, no such recurrence exists or L is
+    constant.  Any nullspace vector of the fraction-free Gauss-Jordan
+    elimination will do: every multiple of the minimal recurrence in the
+    ansatz has the same L up to scale, and a larger nullspace gives a guess
+    that ``kummer_galois.certify`` proves or rejects."""
+    if size is not None and size < _LEAD_TERMS:
+        return None
+    a = [exact(n) for n in range(_LEAD_TERMS)]
+    # column 4j + i holds the coefficient of n^i in c_j
+    rows = [[n ** i * a[n + j] for j in range(3) for i in range(4)]
+            for n in range(_LEAD_TERMS - 2)]
+    pivots: list[int] = []  # the pivot column of each row of the reduced form
+    for col in range(12):
+        rank = len(pivots)
+        r = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        pivot = rows[rank]
+        for k, row in enumerate(rows):
+            if row[col] and k != rank:
+                rows[k] = _primitive([pivot[col] * x - row[col] * y for x, y in zip(row, pivot)])
+        pivots.append(col)
+    free = next((col for col in range(12) if col not in pivots), None)
+    if free is None:
+        return None
+    scale = math.lcm(*(rows[r][col] for r, col in enumerate(pivots)))
+    vec = [scale if col == free else 0 for col in range(12)]
+    for r, col in enumerate(pivots):
+        vec[col] = -rows[r][free] * scale // rows[r][col]
+    top = max(col % 4 for col in range(12) if vec[col])
+    lead = _primitive([vec[8 + top], vec[4 + top], vec[top]])
+    return tuple(lead) if any(lead[1:]) else None
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` over its content, its first nonzero entry made positive."""
+    g = math.gcd(*row) * (-1 if next((x for x in row if x), 0) < 0 else 1)
+    return [x // g for x in row] if g else row
 
 
 # (key, description, exact, (k, u1, b, c) of the recurrence, level, OEIS);
@@ -313,9 +369,17 @@ _CATALOG_ROWS = [
      (3, 2, (2, 10, 18, 12), (0, -4, 0, 64)), 10, "A005260"),
 ]
 
+
+def _row_lead(k, b, c) -> tuple[int, int, int]:
+    """(1, -beta, -gamma), beta and gamma the coefficients of n^k in b(n) and
+    c(n), 0 past the end of a shorter tuple."""
+    return (1, *(-x[k] if len(x) > k else 0 for x in (b, c)))
+
+
 CATALOG: dict[str, SequenceSpec] = {
     key: SequenceSpec(key=key, description=desc, exact=exact,
-                      terms=Recurrence(*rec), level=level, oeis=oeis)
+                      terms=Recurrence(*rec), level=level, oeis=oeis,
+                      lead=_row_lead(rec[0], rec[2], rec[3]))
     for key, desc, exact, rec, level, oeis in _CATALOG_ROWS
 }
 
@@ -324,11 +388,13 @@ def generalized(r: int, s: int) -> SequenceSpec:
     """The two-exponent family sum_k C(n,k)^r C(n+k,n)^s."""
     if r < 0 or s < 0:
         raise ValueError("exponents must be nonnegative")
+    exact = partial(gen_apery_exact, r, s)
     return SequenceSpec(
         key=f"gen:{r},{s}",
         description=f"sum_k C(n,k)^{r} C(n+k,n)^{s}",
-        exact=partial(gen_apery_exact, r, s),
+        exact=exact,
         terms=GenSum(r, s),
+        lead=_recurrence_lead(exact),
     )
 
 
@@ -362,6 +428,7 @@ def load_external(path) -> SequenceSpec:
         description=f"external coefficient table ({len(limbs)} terms)",
         exact=table.value,
         terms=table,
+        lead=_recurrence_lead(table.value, table.size),
     )
 
 
@@ -468,12 +535,15 @@ def verify_lucas_property(seq: SequenceSpec, p: int, digit_levels: int = 1) -> F
     a_i != a_n * a_l.  Indices below p are not checked, so a table with
     a_0 != 1 is judged only from index p on.  The report's
     ``counterexample`` is the first (n, l); it is returned instead of
-    raised, since external tables are allowed to fail.
+    raised, since external tables are allowed to fail; a table of at most p
+    terms, with no index to check, raises ValueError.
     """
     if digit_levels < 1:
         raise ValueError("digit_levels must be >= 1")
     count = p ** (digit_levels + 1)
     if seq.terms.size is not None:
         count = min(count, seq.terms.size)
+    if count <= p:
+        raise ValueError(f"{seq.key} has {seq.terms.size} terms, none past p={p} to check")
     cs = coefficients_mod_p(seq, count, p)
     return FrobeniusReport(seq.key, p, kummer_mismatch(cs, p, start=p))

@@ -196,6 +196,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", check, "--seq", f"@{path}", "--prime", "5")
         assert (code, out) == (1, line + "\n")
 
+    def test_lucas_needs_a_table_longer_than_p(self, capsys, tmp_path, rng):
+        # a table of at most p terms holds no index n p + l to check, so it
+        # is a usage error, not a PASS
+        path = tmp_path / "random.b"
+        path.write_text("".join(f"{n} {rng.randrange(10 ** 6)}\n" for n in range(40)))
+        code, out, err = run(capsys, "verify", "lucas", "--seq", f"@{path}", "--prime", "41")
+        assert (code, out) == (2, "")
+        assert "40 terms" in err and "p=41" in err
+        code, out, _ = run(capsys, "verify", "lucas", "--seq", f"@{path}", "--prime", "37")
+        assert (code, out) == (1, "lucas p=37: FAIL counterexample (n,l)=(1, 0)\n")
+        prefix = tmp_path / "apery41.b"
+        prefix.write_text("".join(f"{n} {v}\n" for n, v in enumerate(exact_terms("apery")[:41])))
+        code, out, _ = run(capsys, "verify", "lucas", "--seq", f"@{prefix}", "--prime", "101")
+        assert (code, out) == (2, "")
+
     def test_reversed_range_is_2(self, capsys):
         code, out, err = run(capsys, "verify", "ode", "--primes", "9..4")
         assert code == 2 and out == ""

@@ -44,6 +44,10 @@ CASES = {
     "verify-quadratic-apery": "verify quadratic --seq apery --primes 5..499",
     "verify-quadratic-domb": "verify quadratic --seq domb --primes 5..499",
     "verify-quadratic-az": "verify quadratic --seq az --primes 5..499",
+    # the sequences whose recurrence is found from their values
+    "galois-gen-2-2": "galois --seq gen:2,2 --primes 5..200",
+    "galois-gen-3-2": "galois --seq gen:3,2 --primes 5..200",
+    "mine-bfile-small-primes": "mine --seq @{bfile} --primes 5..300",
 }
 
 # Longer runs, compared only when APERYLIKE_STRETCH=1.

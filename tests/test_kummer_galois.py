@@ -1,17 +1,17 @@
 import pytest
 
-from aperylike import kummer_galois
+from aperylike import kummer_galois, sequences
 from aperylike.finite_field import mult_order
 from aperylike.fp_poly import FpPoly, SquareCofactor, gcd
 from aperylike.kummer_galois import (CASE_BOTH, CASE_NONE, CASE_ONE,
-                                     GaloisResult, _leading_polynomial,
-                                     _recurrence_cofactor, certify,
+                                     GaloisResult, certify,
                                      compute_record, galois_degree,
                                      involution_analysis,
                                      predicted_cofactor, predicted_group,
                                      verify_kummer_relation)
-from aperylike.sequences import (CATALOG, coefficients_mod_p, load_external,
-                                 truncation_poly)
+from aperylike.pattern_miner import sweep
+from aperylike.sequences import (CATALOG, _recurrence_lead, generalized,
+                                 load_external, truncation_poly)
 from tests.conftest import primes_between, random_poly, random_squarefree
 from tests.test_golden import write_apery_bfile
 
@@ -91,7 +91,7 @@ class TestGaloisDegree:
                 rec = compute_record(CATALOG[key], p)
             # none where certify proves P = 1 or gcd(A, L), else one for
             # both results (franel's A is squarefree: always one)
-            guess = gcd(rec.trunc, _leading_polynomial(CATALOG[key], rec.trunc))
+            guess = gcd(rec.trunc, FpPoly(CATALOG[key].lead, p))
             certified = (certify(rec.trunc, FpPoly.one(p))
                          or guess.degree > 0 and certify(rec.trunc, guess))
             assert calls == ([] if certified else [p])
@@ -181,41 +181,35 @@ class TestCertify:
 
 
 class TestRecurrenceGuess:
-    @pytest.mark.parametrize("p", [29, 101, 499])
-    def test_leading_polynomial_of_the_recurrence(self, p):
-        # the oracle is the row's own recurrence data: 1 - beta t - gamma t^2
-        # with beta, gamma the leading coefficients of b(n) and c(n)
-        for key, seq in CATALOG.items():
-            want = FpPoly([1, -seq.terms.b[-1], -seq.terms.c[-1]], p).monic()
-            assert _recurrence_cofactor(coefficients_mod_p(seq, p, p), p) == want, key
-
     def test_row_agrees_with_elimination(self):
-        # L read off each catalog row's b(n), c(n) is the L that elimination
-        # finds from A alone, so reading the wrong entry of a row's tuples
-        # fails here; at p = 19 the two differ for a181418 and a274786
+        # the oracle is the row's own recurrence data: 1 - beta t - gamma t^2
+        # with beta, gamma the coefficients of n^k in b(n) and c(n); the
+        # elimination sees only the row's first exact values, and both agree
+        # over the integers, so reading the wrong entry of a row's tuples fails
         for key, seq in CATALOG.items():
-            for p in primes_between(23, 400):
-                cs = coefficients_mod_p(seq, p, p)
-                want = _leading_polynomial(seq, FpPoly(cs, p)).monic()
-                assert _recurrence_cofactor(cs, p) == want, (key, p)
+            assert _recurrence_lead(seq.exact) == seq.lead, key
 
-    def test_no_guess_from_too_few_equations(self):
-        # p = 17 leaves 15 equations n + 2 < p, below GUESS_MIN_EQUATIONS
-        cs = coefficients_mod_p(CATALOG["apery"], 17, 17)
-        assert _recurrence_cofactor(cs, 17) is None
-        assert _recurrence_cofactor(coefficients_mod_p(CATALOG["apery"], 19, 19), 19) is not None
+    def test_generalized_apery(self):
+        assert generalized(2, 2).lead == CATALOG["apery"].lead
 
-    def test_no_guess_without_a_recurrence(self, rng):
-        for p in (29, 101, 499):
-            assert _recurrence_cofactor([rng.randrange(p) for _ in range(p)], p) is None
+    def test_no_guess_without_a_recurrence(self, rng, tmp_path):
+        values = [rng.randrange(10 ** 6) for _ in range(40)]
+        assert _recurrence_lead(values.__getitem__, len(values)) is None
+        assert generalized(3, 2).lead is None  # no order-2 recurrence of degree <= 3
+        # the 20 equations read 22 values
+        for terms, want in ((21, None), (22, CATALOG["apery"].lead)):
+            path = tmp_path / f"apery{terms}.b"
+            write_apery_bfile(path, terms)
+            assert load_external(path).lead == want, terms
 
     def test_bfile_record_without_decomposition(self, tmp_path, monkeypatch):
-        # 109 is a FULL-class prime with no lift to guess from: the parent
-        # decomposed A here, the recurrence guess certifies it
+        # FULL-class primes of a b-file: the parent's elimination mod p had
+        # too few equations at 13 and 17, and before gcd(A, L) 109 had no
+        # lift to guess from, so each was decomposed; L found once from the
+        # table certifies all three
         path = tmp_path / "apery.b"
         write_apery_bfile(path, 120)
         seq = load_external(path)
-        want = decomposed(truncation_poly(seq, 109))
         calls = []
         original = FpPoly.squarefree_decomposition
 
@@ -223,11 +217,30 @@ class TestRecurrenceGuess:
             calls.append(self.p)
             return original(self)
 
-        monkeypatch.setattr(FpPoly, "squarefree_decomposition", counting)
-        rec = compute_record(seq, 109)
-        assert calls == []
-        assert (rec.factorization, rec.galois) == want
-        assert rec.factorization.cofactor == FpPoly([1, -34, 1], 109)
+        for p in (13, 17, 109):
+            want = decomposed(truncation_poly(seq, p))
+            with monkeypatch.context() as m:
+                m.setattr(FpPoly, "squarefree_decomposition", counting)
+                rec = compute_record(seq, p)
+            assert calls == [], p
+            assert (rec.factorization, rec.galois) == want
+            assert rec.factorization.cofactor == FpPoly([1, -34, 1], p)
+
+    def test_lead_found_once_per_sequence(self, tmp_path, monkeypatch):
+        calls = []
+        original = sequences._recurrence_lead
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sequences, "_recurrence_lead", counting)
+        path = tmp_path / "apery.b"
+        write_apery_bfile(path, 120)
+        seq = load_external(path)
+        assert len(calls) == 1
+        records = sweep(seq, 5, 100, threads=1)
+        assert len(calls) == 1 and len(records) == 23
 
 
 class TestPredictions:
