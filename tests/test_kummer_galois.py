@@ -181,6 +181,17 @@ class TestCertify:
 
 
 class TestRecurrenceGuess:
+    @pytest.mark.parametrize("p", [29, 101, 499])
+    def test_leading_polynomial_of_the_recurrence(self, p):
+        # the oracle is the row's own recurrence data: 1 - beta t - gamma t^2
+        # with beta, gamma the leading coefficients of b(n) and c(n); the L
+        # that compute_record reduces mod p, and the one the finder gets from
+        # the row's exact values alone, are both it up to a unit mod p
+        for key, seq in CATALOG.items():
+            want = FpPoly([1, -seq.terms.b[-1], -seq.terms.c[-1]], p).monic()
+            assert FpPoly(seq.lead, p).monic() == want, key
+            assert FpPoly(_recurrence_lead(seq.exact), p).monic() == want, key
+
     def test_row_agrees_with_elimination(self):
         # the oracle is the row's own recurrence data: 1 - beta t - gamma t^2
         # with beta, gamma the coefficients of n^k in b(n) and c(n); the
