@@ -6,17 +6,9 @@ A_p in F_p(t)^x modulo (p-1)-th powers.  That order depends only on the
 leading constant and on the gcd of the multiplicities of A_p.
 
 ``compute_record`` reads both, and the factorization A_p = c * P * B^2, off
-the squarefree decomposition, unless ``certify`` proves a guessed cofactor
-P: B is then a series square root checked by re-expansion, and the
-multiplicity gcd follows from gcd(P, B) = 1 when P != 1, and from witness
-points showing B is no l-th power when P = 1.  The guesses are P = 1 and
-gcd(A, L), L = 1 - beta t - gamma t^2 the leading polynomial of the
-sequence's order-2 recurrence (``SequenceSpec.lead``): A is a polynomial
-solution mod p of the sequence's differential operator (f = A * f(t^p),
-and f(t^p) has zero derivative), and over the primes 7..1000 every catalog
-truncation but Franel's squarefree one has P = 1, P = L or P a linear
-factor of L.  A guess is only a guess: the exact checks of ``certify``
-decide.
+the squarefree decomposition, unless ``certify`` proves one of its two
+guessed cofactors P exactly; the degree of a cached record is proved the
+same way (``_proved_degree``).
 """
 from __future__ import annotations
 
@@ -41,7 +33,6 @@ class GaloisResult:
 
     p: int
     degree: int
-    kummer_exponent: int
 
     @property
     def label(self) -> str:
@@ -65,7 +56,7 @@ class GaloisResult:
         whose multiplicities have gcd e_gcd (0 for a constant, so that
         gcd(p-1, 0) = p-1 lets the constant alone decide)."""
         m = math.gcd(p - 1, e_gcd, (p - 1) // mult_order(lc, p))
-        return cls(p=p, degree=(p - 1) // m, kummer_exponent=m)
+        return cls(p=p, degree=(p - 1) // m)
 
     def describe(self) -> str:
         if self.label == LABEL_OTHER:
@@ -120,9 +111,15 @@ class InvolutionReport:
 
     family: str
     p: int
-    case: str
     admissible_signs: tuple[int, ...]
-    fixing_admissible: bool
+
+    @property
+    def case(self) -> str:
+        return (CASE_NONE, CASE_ONE, CASE_BOTH)[len(self.admissible_signs)]
+
+    @property
+    def fixing_admissible(self) -> bool:
+        return get_family(self.family).fixing_sign in self.admissible_signs
 
 
 def involution_analysis(family: str, p: int) -> InvolutionReport:
@@ -135,11 +132,7 @@ def involution_analysis(family: str, p: int) -> InvolutionReport:
         sign for sign in (1, -1)
         if (legendre(sign * u0, p) == 1) == need_square
     )
-    case = (CASE_NONE, CASE_ONE, CASE_BOTH)[len(admissible)]
-    return InvolutionReport(
-        family=family, p=p, case=case, admissible_signs=admissible,
-        fixing_admissible=spec.fixing_sign in admissible,
-    )
+    return InvolutionReport(family=family, p=p, admissible_signs=admissible)
 
 
 # -- the Kummer congruence ---------------------------------------------------------
@@ -149,9 +142,12 @@ def verify_kummer_relation(seq: SequenceSpec, p: int,
                            precision: int | None = None) -> FrobeniusReport:
     """Check f = A_p * f(t^p) coefficientwise to the given precision, by
     ``kummer_mismatch``.  Default precision is 3p, covering indices whose
-    base-p expansions have two digits.
+    base-p expansions have two digits.  A precision of at most p raises
+    ValueError: up to index p-1 the relation reads A_p = A_p * a_0.
     """
     n = 3 * p if precision is None else precision
+    if n <= p:
+        raise ValueError(f"precision {n} <= p={p} leaves no index of f(t^p) to check")
     return FrobeniusReport(seq.key, p, kummer_mismatch(coefficients_mod_p(seq, n, p), p))
 
 
@@ -202,7 +198,8 @@ class TruncationRecord:
         """Rebuild a record from its cache form; raises ValueError unless p, c,
         degree and every coefficient of A, P and B are ints (not floats,
         strings or bools), p is a prime >= 5, 1 <= c < p, P and B are monic,
-        c*P*B^2 == A, P is squarefree and degree divides p-1.  Together the
+        c*P*B^2 == A, P is squarefree and degree is the degree of A, proved
+        by ``_proved_degree`` or else by the decomposition.  Together the
         checks on c, P, B and the re-expansion make A nonzero with leading
         coefficient c."""
         for key in ("p", "c", "degree"):
@@ -223,10 +220,9 @@ class TruncationRecord:
             raise ValueError("c*P*B^2 does not re-expand to A")
         if gcd(fact.cofactor, fact.cofactor.derivative()).degree != 0:
             raise ValueError("P is not squarefree")
-        degree = data["degree"]
-        if degree <= 0 or (p - 1) % degree:
-            raise ValueError(f"degree {degree} is not a positive divisor of p-1={p - 1}")
-        gal = GaloisResult(p=p, degree=degree, kummer_exponent=(p - 1) // degree)
+        gal = _proved_degree(fact) or galois_degree(trunc)
+        if data["degree"] != gal.degree:
+            raise ValueError(f"degree {data['degree']} is not the degree {gal.degree} of A")
         return cls(seq=data["seq"], p=p, trunc=trunc, factorization=fact, galois=gal)
 
 
@@ -254,12 +250,9 @@ def certify(a: FpPoly, cofactor: FpPoly,
     returns.  With d = (deg A - deg P)/2 a positive integer and A(0), P(0)
     nonzero, P must divide A exactly, and B is the monic normalization of
     the series square root of Q/Q(0), Q = A/P, to d+1 terms; c*B^2 == Q,
-    that is c*P*B^2 == A, is checked exactly.
-    The multiplicity gcd that ``GaloisResult.from_parts`` needs is then
-    1 when P != 1 is squarefree and prime to B.  When P = 1 it is 2*e with e
-    the multiplicity gcd of B; a point x with B(x) != 0 and
-    B(x)^((p-1)/l) != 1 shows B is no l-th power, so l does not divide e,
-    and such witnesses for every prime l | (p-1)/2 give gcd(p-1, 2e) = 2.
+    that is c*P*B^2 == A, is checked exactly.  The degree is then proved
+    by ``_proved_degree``, and a candidate whose degree it cannot prove is
+    rejected too.
 
     Before any division or series work a point x with A(x)*c*P(x) a
     non-residue rejects the candidate, since A(x)/(c*P(x)) = B(x)^2.
@@ -293,10 +286,25 @@ def certify(a: FpPoly, cofactor: FpPoly,
     if (root * root).scale(c) != q:
         return None
     fact = SquareCofactor(c, P, root)
+    gal = _proved_degree(fact)
+    return None if gal is None else (fact, gal)
+
+
+def _proved_degree(fact: SquareCofactor) -> GaloisResult | None:
+    """The Kummer degree of A = c*P*B^2, with P monic squarefree and B monic,
+    proved without a squarefree decomposition; None when it cannot be
+    proved this way.
+
+    The multiplicity gcd that ``GaloisResult.from_parts`` needs is 1 when
+    P != 1 is prime to B.  When P = 1 it is 2*e with e the multiplicity gcd
+    of B; a point x with B(x) != 0 and B(x)^((p-1)/l) != 1 shows B is no
+    l-th power, so l does not divide e, and such witnesses for every prime
+    l | (p-1)/2 give gcd(p-1, 2e) = 2.
+    """
+    P, root = fact.cofactor, fact.root
+    p = P.p
     if P.degree > 0:
-        if gcd(P, root).degree > 0:
-            return None
-        return fact, GaloisResult.from_exponents(p, c, 1)
+        return None if gcd(P, root).degree > 0 else GaloisResult.from_exponents(p, fact.c, 1)
     missing = list(factorize((p - 1) // 2))
     for x in range(1, min(WITNESS_POINTS, p - 1) + 1):
         if not missing:
@@ -304,9 +312,7 @@ def certify(a: FpPoly, cofactor: FpPoly,
         bx = root.eval(x)
         if bx:
             missing = [l for l in missing if pow(bx, (p - 1) // l, p) == 1]
-    if missing:
-        return None
-    return fact, GaloisResult.from_exponents(p, c, 2)
+    return None if missing else GaloisResult.from_exponents(p, fact.c, 2)
 
 
 def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:

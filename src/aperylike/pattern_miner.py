@@ -51,6 +51,10 @@ def _warn(msg: str, *args) -> None:
 # -- lifting --------------------------------------------------------------------
 
 
+def _normalization(coeffs: tuple[int, ...]) -> str:
+    return "constant" if coeffs[0] else "monic"
+
+
 @record
 class LiftedCofactor:
     """Integer lift of a monic cofactor, rescaled to constant term 1 when
@@ -64,8 +68,11 @@ class LiftedCofactor:
     """
 
     coeffs: tuple[int, ...]  # constant first
-    normalization: str       # "constant" | "monic"
     reliable: bool
+
+    @property
+    def normalization(self) -> str:
+        return _normalization(self.coeffs)
 
 
 def _symmetric(c: int, p: int) -> int:
@@ -76,19 +83,10 @@ def lift_cofactor(cofactor: FpPoly, p: int) -> LiftedCofactor:
     if not cofactor:
         raise ZeroDivisionError("cannot lift the zero polynomial")
     c0 = cofactor.eval(0)
-    if c0 != 0:
-        scaled = cofactor.scale(pow(c0, p - 2, p))
-        normalization = "constant"
-    else:
-        scaled = cofactor.monic()
-        normalization = "monic"
+    scaled = cofactor.scale(pow(c0, p - 2, p)) if c0 else cofactor.monic()
     lifted = tuple(_symmetric(c, p) for c in scaled.coeffs)
     height = max((abs(c) for c in lifted), default=0)
-    return LiftedCofactor(
-        coeffs=lifted,
-        normalization=normalization,
-        reliable=p > 2 * height + 1,
-    )
+    return LiftedCofactor(coeffs=lifted, reliable=p > 2 * height + 1)
 
 
 # -- classifiers --------------------------------------------------------------------
@@ -149,48 +147,51 @@ class AlwaysTrue:
 
 
 @record
-class Cluster:
-    key: tuple[str, tuple[int, ...]]  # (normalization, constant-first integer coeffs)
-    primes: tuple[int, ...]           # ascending
+class ClusterReport:
+    """The primes whose cofactors lift to one integer polynomial, with the
+    classifier inferred for them and the primes it contradicts."""
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.key[1]
+    cofactor: tuple[int, ...]  # constant first
+    classifier: object | None
+    primes: tuple[int, ...]    # ascending
+    exceptions: tuple[int, ...]
 
     @property
     def normalization(self) -> str:
-        return self.key[0]
+        return _normalization(self.cofactor)
 
 
-def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], list[int]]:
-    """Group records by the integer lift of their cofactor.
+def cluster_records(records: list[TruncationRecord]) -> tuple[list[ClusterReport], list[int]]:
+    """Group records by the integer lift of their cofactor, as reports with
+    no classifier yet, in order of the lift's length and coefficients.
 
     Records are processed by descending prime: a lift whose height clears
     the reliability bound seeds an integer candidate, and every later
     (smaller) prime is matched by reducing the known candidates mod p.
-    A small prime can pass the height heuristic with a wrong lift, so
-    candidate matching always takes precedence over seeding.  Primes whose
-    tentative lift never matches any candidate are returned separately.
+    Two lifts that agree mod p have the same constant term, 0 or 1, so the
+    coefficients alone key a candidate.  A small prime can pass the height
+    heuristic with a wrong lift, so candidate matching always takes
+    precedence over seeding.  Primes whose tentative lift never matches any
+    candidate are returned separately.
     """
-    clusters: dict[tuple[str, tuple[int, ...]], list[int]] = {}
+    clusters: dict[tuple[int, ...], list[int]] = {}
     pending: list[tuple[int, TruncationRecord, LiftedCofactor]] = []
 
     def match(p: int, lift: LiftedCofactor):
         target = FpPoly(lift.coeffs, p)
-        hits = [key for key in clusters
-                if key[0] == lift.normalization and FpPoly(key[1], p) == target]
-        return sorted(hits, key=lambda k: (len(k[1]), k[1]))
+        return sorted((key for key in clusters if FpPoly(key, p) == target),
+                      key=lambda k: (len(k), k))
 
     for rec in sorted(records, key=lambda r: -r.p):
         lift = lift_cofactor(rec.factorization.cofactor, rec.p)
         hits = match(rec.p, lift)
         if len(hits) > 1:
             _warn("%s p=%d: cofactor matches %d candidates; taking %s",
-                  rec.seq, rec.p, len(hits), list(hits[0][1]))
+                  rec.seq, rec.p, len(hits), list(hits[0]))
         if hits:
             clusters[hits[0]].append(rec.p)
         elif lift.reliable:
-            clusters.setdefault((lift.normalization, lift.coeffs), []).append(rec.p)
+            clusters.setdefault(lift.coeffs, []).append(rec.p)
         else:
             pending.append((rec.p, rec, lift))
 
@@ -204,20 +205,11 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[Cluster], lis
                   rec.seq, p, list(lift.coeffs))
             unmatched.append(p)
 
-    ordered = sorted(clusters.items(), key=lambda kv: (len(kv[0][1]), kv[0][1]))
-    return [Cluster(key, tuple(sorted(ps))) for key, ps in ordered], unmatched
+    return [ClusterReport(key, None, tuple(sorted(clusters[key])), ())
+            for key in sorted(clusters, key=lambda k: (len(k), k))], unmatched
 
 
 # -- classifier inference --------------------------------------------------------------
-
-
-@record
-class ClusterReport:
-    cofactor: tuple[int, ...]
-    normalization: str
-    classifier: object | None
-    primes: tuple[int, ...]
-    exceptions: tuple[int, ...]
 
 
 @record
@@ -265,17 +257,18 @@ def _candidate_singles(level: int | None) -> list[int]:
     return out
 
 
-def _assign(clusters: list[Cluster], classifiers: list) -> tuple[dict, list[int]] | None:
+def _assign(clusters: list[ClusterReport],
+            classifiers: list) -> tuple[list, list[int]] | None:
     """Give each cluster the first unused classifier that none of its primes
     contradicts; None when some cluster has none.
 
-    Returns the assignment and the ramified primes, those whose own
-    classifier has a vanishing symbol.  Every list ``_trials`` yields is
-    exclusive (sign patterns of the same symbols, or disjoint residue
-    sets), so no other classifier of it matches an unramified prime: each
-    such prime lands in its own cluster's class alone.
+    Returns the classifiers in cluster order and the ramified primes, those
+    whose own classifier has a vanishing symbol.  Every list ``_trials``
+    yields is exclusive (sign patterns of the same symbols, or disjoint
+    residue sets), so no other classifier of it matches an unramified
+    prime: each such prime lands in its own cluster's class alone.
     """
-    assignment: dict = {}
+    assignment: list = []
     ramified: list[int] = []
     used = set()
     for cl in clusters:
@@ -288,12 +281,12 @@ def _assign(clusters: list[Cluster], classifiers: list) -> tuple[dict, list[int]
         else:
             return None
         used.add(idx)
-        assignment[cl.key] = cand
+        assignment.append(cand)
         ramified += [p for p, v in zip(cl.primes, verdicts) if v is None]
     return assignment, sorted(ramified)
 
 
-def _trials(clusters: list[Cluster], level: int | None):
+def _trials(clusters: list[ClusterReport], level: int | None):
     """The classifier lists ``infer_conditions`` tries, one per cluster each,
     made one at a time in search order: all p for a single cluster, single
     Legendre symbols (up to two clusters), pairs of symbols (up to four),
@@ -318,7 +311,7 @@ def _trials(clusters: list[Cluster], level: int | None):
 
 def infer_conditions(
     seq_key: str,
-    clusters: list[Cluster],
+    clusters: list[ClusterReport],
     unmatched: list[int],
     lo: int,
     hi: int,
@@ -326,9 +319,13 @@ def infer_conditions(
 ) -> PatternReport:
     """Search the classifier language for an exact partition of the sweep.
 
-    Primes whose cofactor lift never matched a candidate mean the clustering
-    itself is incomplete, so their presence forces UNRESOLVED.  So does an
-    empty sweep: with no cluster there is nothing that was validated.
+    ``clusters`` are ``cluster_records``'s reports; the result holds a copy
+    of each with its classifier and, when no trial partitions the sweep
+    exactly, with the primes that the first-tried classifier contradicts.
+    Primes whose cofactor lift never matched a candidate mean the
+    clustering itself is incomplete, so their presence forces UNRESOLVED.
+    So does an empty sweep: with no cluster there is nothing that was
+    validated.
     """
     good = "UNRESOLVED" if unmatched else "VALIDATED"
     if not clusters:
@@ -338,11 +335,8 @@ def infer_conditions(
         found = _assign(clusters, classifiers)
         if found:
             assignment, ramified = found
-            entries = tuple(
-                ClusterReport(cl.coeffs, cl.normalization, assignment[cl.key],
-                              cl.primes, ())
-                for cl in clusters
-            )
+            entries = tuple(ClusterReport(cl.cofactor, cand, cl.primes, ())
+                            for cl, cand in zip(clusters, assignment))
             return PatternReport(seq_key, lo, hi, good, entries,
                                  ramified=tuple(ramified), unmatched=tuple(unmatched))
         if first is None:
@@ -352,8 +346,7 @@ def infer_conditions(
     for idx, cl in enumerate(clusters):
         cand = first[idx] if first and idx < len(first) else None
         exceptions = tuple(p for p in cl.primes if cand and cand.matches(p) is False)
-        entries.append(ClusterReport(cl.coeffs, cl.normalization, cand,
-                                     cl.primes, exceptions))
+        entries.append(ClusterReport(cl.cofactor, cand, cl.primes, exceptions))
     return PatternReport(seq_key, lo, hi, "UNRESOLVED", tuple(entries),
                          unmatched=tuple(unmatched))
 

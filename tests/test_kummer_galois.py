@@ -34,11 +34,22 @@ class TestKummerRelation:
         assert not report.ok
         assert report.mismatch is not None
 
+    def test_precision_up_to_p_rejected(self, tmp_path):
+        # a_0 = 1, so below index p the relation reads A_p = A_p and would
+        # pass; index p = 11 compares a_11 = 12 with a_0 * a_1 = 2
+        path = tmp_path / "counting.txt"
+        path.write_text("\n".join(f"{n} {n + 1}" for n in range(60)) + "\n")
+        seq = load_external(path)
+        for precision in (5, 11):
+            with pytest.raises(ValueError, match=f"precision {precision} <= p=11"):
+                verify_kummer_relation(seq, 11, precision)
+        assert verify_kummer_relation(seq, 11, 12).mismatch == 11
+
 
 class TestGaloisDegree:
     def test_apery_p5_is_square_class(self):
         res = galois_degree(FpPoly([1, 0, 3, 0, 1], 5))
-        assert (res.degree, res.kummer_exponent, res.label) == (2, 2, "S")
+        assert (res.degree, res.label) == (2, "S")
 
     def test_apery_p13_full(self):
         rec = compute_record(CATALOG["apery"], 13)
@@ -64,8 +75,8 @@ class TestGaloisDegree:
             p = rng.choice([13, 17])
             a = random_poly(rng, p, 6, nonzero=True)
             b = random_poly(rng, p, 3, nonzero=True)
-            before = galois_degree(a).kummer_exponent % 2
-            after = galois_degree(a * b * b).kummer_exponent % 2
+            before = (p - 1) // galois_degree(a).degree % 2
+            after = (p - 1) // galois_degree(a * b * b).degree % 2
             assert before == after
 
     def test_degree_invariant_under_full_power_multiples(self, rng):
@@ -103,7 +114,7 @@ class TestGaloisDegree:
     def test_degree_times_exponent(self):
         for p in primes_between(5, 60):
             res = galois_degree(compute_record(CATALOG["apery"], p).trunc)
-            assert res.degree * res.kummer_exponent == p - 1
+            assert (p - 1) % res.degree == 0
 
 
 def decomposed(a):
@@ -129,7 +140,7 @@ class TestCertify:
         a = (root ** 4).scale(c)
         fact, gal = decomposed(a)
         assert fact.cofactor == 1 and fact.root == root ** 2
-        assert gal.kummer_exponent == 4  # P = 1 with e = 1 would give 2
+        assert (p - 1) // gal.degree == 4  # P = 1 with e = 1 would give 2
         assert certify(a, FpPoly.one(p)) is None
 
     def test_odd_power_needs_gcd_of_cofactor_and_root(self):

@@ -77,7 +77,7 @@ def _fake_record(p, cofactor_ints):
     cof = FpPoly(cofactor_ints, p)
     trunc = cof  # content unused by clustering beyond the factorization
     fact = SquareCofactor(1, cof.monic(), FpPoly.one(p))
-    gal = GaloisResult(p=p, degree=p - 1, kummer_exponent=1)
+    gal = GaloisResult(p=p, degree=p - 1)
     return TruncationRecord(seq="fake", p=p, trunc=trunc, factorization=fact, galois=gal)
 
 
@@ -86,7 +86,7 @@ class TestClustering:
         records = [compute_record(CATALOG["apery"], p) for p in primes_in_range(5, 499)]
         clusters, unmatched = cluster_records(records)
         assert not unmatched
-        assert [c.coeffs for c in clusters] == [(1,), (1, -34, 1)]
+        assert [c.cofactor for c in clusters] == [(1,), (1, -34, 1)]
         assert sum(len(c.primes) for c in clusters) == len(records)
         # small primes land in the right cluster via candidate reduction
         assert 13 in clusters[1].primes
@@ -97,7 +97,7 @@ class TestClustering:
         clusters, unmatched = cluster_records(records)
         assert not unmatched
         assert len(clusters) == 1
-        assert clusters[0].coeffs == (1, -34, 1)
+        assert clusters[0].cofactor == (1, -34, 1)
         assert clusters[0].primes == (13, 499)
 
     def test_unmatched_tentative_flagged(self):
@@ -201,6 +201,27 @@ class TestSweepCache:
         assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
         # the two recomputed records were appended
         assert len(cache.read_text().splitlines()) == len(tampered) + 2
+
+    def test_wrong_divisor_degree_recomputed(self, tmp_path, caplog):
+        # at p = 13 Apery's A has degree 12 (FULL); a line claiming degree 6
+        # and label S divides p-1 and passes every other check, so the
+        # degree must be proved from the line's P and B, not trusted
+        cache = tmp_path / "cache.jsonl"
+        clean = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30)]
+        tampered = [dict(data) for data in clean]
+        for data in tampered:
+            if data["p"] == 13:
+                assert (data["degree"], data["label"]) == (12, "FULL")
+                data.update(degree=6, label="S")
+        cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
+            out = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)]
+        assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p != 13]
+        assert "degree 6 is not the degree 12 of A" in caplog.text
+        assert out == clean
+        # the recomputed record is appended, so the last line for p = 13 wins
+        assert json.loads(cache.read_text().splitlines()[-1]) == out[3]
 
     def test_invalid_prime_skipped(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
@@ -314,9 +335,9 @@ class TestSweepCache:
     def test_stale_hit_recomputed_once(self, tmp_path, monkeypatch, caplog):
         cache = tmp_path / "cache.jsonl"
         fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
-        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
-        for data in tampered:
-            data["degree"] = 1  # the true degree is (p-1)/2 or p-1
+        # the Domb records filed under apery: each line passes every check of
+        # the reader, but its A is not Apery's
+        tampered = [dict(r.to_json_dict(), seq="apery") for r in sweep(CATALOG["domb"], 5, 60)]
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
 
         calls = []
@@ -332,7 +353,8 @@ class TestSweepCache:
         assert len(calls) == 1
         sampled = calls[0]
         assert out[sampled] == fresh[sampled]
-        assert all(out[p]["degree"] == 1 for p in out if p != sampled)
+        stale = {data["p"]: data for data in tampered}
+        assert all(out[p] == stale[p] != fresh[p] for p in out if p != sampled)
         assert f"cached record at p={sampled} is stale" in caplog.text
 
     def test_resumed_sweep_starts_with_cached_lifts(self, tmp_path, monkeypatch):
@@ -377,9 +399,8 @@ class TestSweepCache:
     def test_stale_hit_appended(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
         fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
-        tampered = [json.loads(line) for line in cache.read_text().splitlines()]
-        for data in tampered:
-            data["degree"] = 1  # the true degree is (p-1)/2 or p-1
+        # self-consistent stale lines: the Domb records filed under apery
+        tampered = [dict(r.to_json_dict(), seq="apery") for r in sweep(CATALOG["domb"], 5, 60)]
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
             sweep(CATALOG["apery"], 5, 60, cache_path=cache)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from aperylike import kernels  # noqa: E402
 from aperylike.finite_field import is_prime  # noqa: E402
 from aperylike.fp_poly import FpPoly, mul_schoolbook  # noqa: E402
-from aperylike.pattern_miner import Cluster, _trials  # noqa: E402
+from aperylike.pattern_miner import ClusterReport, _trials  # noqa: E402
 from aperylike.sequences import (CATALOG, LIMB_DIGITS, coefficients_mod_p,  # noqa: E402
                                 load_external, term_exact, term_mod_p)
 from tests.conftest import EXACT_LAST, exact_terms  # noqa: E402
@@ -272,7 +272,7 @@ def test_trial_classifiers_are_exclusive(k, level, rnd):
     # no unramified prime matches two classifiers of one trial, so the
     # classifiers `_assign` gives the clusters never claim a prime twice
     sample = rnd.sample(PRIMES, rnd.randint(k, len(PRIMES)))
-    clusters = [Cluster(("constant", (i,)), tuple(sorted(sample[i::k]))) for i in range(k)]
+    clusters = [ClusterReport((i,), None, tuple(sorted(sample[i::k])), ()) for i in range(k)]
     for trial in _trials(clusters, level):
         for p in PRIMES:
             assert sum(c.matches(p) is True for c in trial) <= 1

@@ -9,7 +9,7 @@ import pytest
 
 from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import GaloisResult, compute_record
-from aperylike.pattern_miner import Cluster, LiftedCofactor, lift_cofactor
+from aperylike.pattern_miner import ClusterReport, LiftedCofactor, lift_cofactor
 from aperylike.sequences import CATALOG, Recurrence, SequenceSpec, apery_exact
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -23,7 +23,7 @@ def spec():
 def samples():
     """Two equal but distinct instances of each frozen record type."""
     rec, again = compute_record(CATALOG["apery"], 13), compute_record(CATALOG["apery"], 13)
-    key = ("constant", (1, -34, 1))
+    cofactor = (1, -34, 1)
     return [
         (rec, again),
         (rec.factorization, again.factorization),
@@ -31,12 +31,13 @@ def samples():
         (lift_cofactor(rec.factorization.cofactor, 13),
          lift_cofactor(again.factorization.cofactor, 13)),
         (spec(), spec()),
-        (Cluster(key, (13, 17)), Cluster(key, (13, 17))),
+        (ClusterReport(cofactor, None, (13, 17), ()),
+         ClusterReport(cofactor, None, (13, 17), ())),
     ]
 
 
 FROZEN = ["TruncationRecord", "SquareCofactor", "GaloisResult", "LiftedCofactor",
-          "SequenceSpec", "Cluster"]
+          "SequenceSpec", "ClusterReport"]
 
 
 @pytest.mark.parametrize("index", range(len(FROZEN)), ids=FROZEN)
@@ -72,22 +73,23 @@ class TestFrozenRecord:
 
 class TestRecordSemantics:
     def test_unequal_fields(self):
-        assert GaloisResult(13, 12, 12) != GaloisResult(13, 6, 12)
-        assert GaloisResult(13, 12, 12) != SquareCofactor(13, FpPoly.one(13), FpPoly.one(13))
+        assert GaloisResult(13, 12) != GaloisResult(13, 6)
+        assert GaloisResult(13, 12) != SquareCofactor(13, FpPoly.one(13), FpPoly.one(13))
 
     def test_construction(self):
-        g = GaloisResult(13, 12, 12)
-        assert GaloisResult(13, 12, kummer_exponent=12) == g
-        assert GaloisResult(kummer_exponent=12, degree=12, p=13) == g
-        assert (g.p, g.degree, g.kummer_exponent) == (13, 12, 12)
+        one = FpPoly.one(13)
+        f = SquareCofactor(2, one, one)
+        assert SquareCofactor(2, one, root=one) == f
+        assert SquareCofactor(root=one, cofactor=one, c=2) == f
+        assert (f.c, f.cofactor, f.root) == (2, one, one)
         with pytest.raises(TypeError):
-            GaloisResult(13, 12)
+            SquareCofactor(2, one)
         with pytest.raises(TypeError):
-            GaloisResult(13, 12, 12, 1)
+            SquareCofactor(2, one, one, 1)
         with pytest.raises(TypeError):
-            GaloisResult(13, 12, 12, p=13)
+            SquareCofactor(2, one, one, c=2)
         with pytest.raises(TypeError):
-            GaloisResult(13, 12, 12, bogus=1)
+            SquareCofactor(2, one, one, bogus=1)
 
     def test_defaults(self):
         terms = CATALOG["apery"].terms
@@ -98,10 +100,11 @@ class TestRecordSemantics:
             SequenceSpec("s", "d", apery_exact)
 
     def test_repr(self):
-        assert repr(GaloisResult(13, 12, 12)) == \
-            "GaloisResult(p=13, degree=12, kummer_exponent=12)"
-        assert repr(LiftedCofactor((1, -34, 1), "constant", True)) == \
-            "LiftedCofactor(coeffs=(1, -34, 1), normalization='constant', reliable=True)"
+        one = FpPoly.one(13)
+        assert repr(SquareCofactor(2, one, one)) == \
+            f"SquareCofactor(c=2, cofactor={one!r}, root={one!r})"
+        assert repr(LiftedCofactor((1, -34, 1), True)) == \
+            "LiftedCofactor(coeffs=(1, -34, 1), reliable=True)"
         rec = compute_record(CATALOG["apery"], 13)
         assert repr(rec).startswith(f"TruncationRecord(seq='apery', p=13, trunc={rec.trunc!r}, ")
 
