@@ -245,6 +245,13 @@ def _cmd_verify(args) -> int:
         # below index p+1 the relation reads A_p = A_p * a_0, true whenever
         # a_0 = 1, so it would pass without comparing a constrained coefficient
         raise UsageError(f"verify kummer needs --order > p; {args.order} <= {primes[-1]}")
+    # the largest prime reads the most terms: a table too short for it is
+    # refused before any line prints PASS
+    size = seq.terms.size if check in ("lucas", "kummer") else None
+    need = primes[-1] + 1 if check == "lucas" else args.order or 3 * primes[-1]
+    if size is not None and size < need:
+        raise UsageError(f"{seq.key} has {size} terms; verify {check} "
+                         f"at p={primes[-1]} needs {need}")
     failures = 0
     for p in primes:
         try:

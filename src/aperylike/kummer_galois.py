@@ -5,10 +5,10 @@ so F_p(t, f)/F_p(t) is Kummer and its degree is the order of the class of
 A_p in F_p(t)^x modulo (p-1)-th powers.  That order depends only on the
 leading constant and on the gcd of the multiplicities of A_p.
 
-``compute_record`` reads both, and the factorization A_p = c * P * B^2, off
-the squarefree decomposition, unless ``certify`` proves one of its two
-guessed cofactors P exactly; the degree of a cached record is proved the
-same way (``_proved_degree``).
+``compute_record`` guesses the cofactor P of A_p = c * P * B^2, ``certify``
+only proves a guess, and the squarefree decomposition gives both when no
+guess is proved; the degree of a cached record is proved the same way
+(``_proved_degree``).
 """
 from __future__ import annotations
 
@@ -226,20 +226,19 @@ class TruncationRecord:
         return cls(seq=data["seq"], p=p, trunc=trunc, factorization=fact, galois=gal)
 
 
-# The Legendre pre-filter of ``certify`` reads A at x = 1..FILTER_POINTS, and
-# the witnesses of its P = 1 degree are sought at x = 1..WITNESS_POINTS
-# (points >= p left out).  Neither count can change a result: a candidate
-# that passes the filter is still checked exactly, and a missing witness
-# sends the prime to the decomposition.  The roots lean towards residues at
-# small x: over the 499 P = 1 records of apery below 3000 and domb, az and
-# a005260 below 1500, up to 20 points were needed (domb at 193, apery at
-# 1801), and a failed search costs far less than the decomposition.
+# The square test of ``compute_record`` reads c*A at x = 1..FILTER_POINTS,
+# and the witnesses of a P = 1 degree are sought at x = 1..WITNESS_POINTS
+# (points >= p left out).  Neither count can change a result: a guess that
+# passes the test is still proved exactly, and a missing witness sends the
+# prime to the decomposition.  The roots lean towards residues at small x:
+# over the 499 P = 1 records of apery below 3000 and domb, az and a005260
+# below 1500, up to 20 points were needed (domb at 193, apery at 1801), and
+# a failed search costs far less than the decomposition.
 FILTER_POINTS = 4
 WITNESS_POINTS = 64
 
 
-def certify(a: FpPoly, cofactor: FpPoly,
-            a_values: list[int] | None = None) -> tuple[SquareCofactor, GaloisResult] | None:
+def certify(a: FpPoly, cofactor: FpPoly) -> tuple[SquareCofactor, GaloisResult] | None:
     """The factorization and Kummer degree of A proved from a guessed cofactor
     P, without a squarefree decomposition; None when the guess is wrong or
     cannot be proved this way.
@@ -248,17 +247,12 @@ def certify(a: FpPoly, cofactor: FpPoly,
     of the factors of odd multiplicity of A and B is fixed, so a candidate
     that passes the exact check is the one ``SquareCofactor.from_parts``
     returns.  With d = (deg A - deg P)/2 a positive integer and A(0), P(0)
-    nonzero, P must divide A exactly, and B is the monic normalization of
-    the series square root of Q/Q(0), Q = A/P, to d+1 terms; c*B^2 == Q,
-    that is c*P*B^2 == A, is checked exactly.  The degree is then proved
-    by ``_proved_degree``, and a candidate whose degree it cannot prove is
-    rejected too.
-
-    Before any division or series work a point x with A(x)*c*P(x) a
-    non-residue rejects the candidate, since A(x)/(c*P(x)) = B(x)^2.
-    ``a_values`` holds A at the first filter points; certify appends the
-    ones it evaluates, so a caller that passes one list for every candidate
-    at a prime evaluates A once.
+    nonzero, P must be squarefree and divide A exactly, and B is the monic
+    normalization of the series square root of Q/Q(0), Q = A/P, to d+1
+    terms; c*B^2 == Q, that is c*P*B^2 == A, is checked exactly.  The
+    degree is then proved by ``_proved_degree``, and a candidate whose
+    degree it cannot prove is rejected too.  What to guess is the caller's
+    choice.
     """
     p = a.p
     if not a or a[0] == 0 or not cofactor or cofactor[0] == 0:
@@ -268,12 +262,6 @@ def certify(a: FpPoly, cofactor: FpPoly,
     if twice_d <= 0 or twice_d % 2:
         return None
     c = a.lc()
-    values = [] if a_values is None else a_values
-    for x in range(1, min(FILTER_POINTS, p - 1) + 1):
-        if len(values) < x:
-            values.append(a.eval(x))
-        if legendre(values[x - 1] * c * P.eval(x), p) < 0:
-            return None
     q = a
     if P.degree > 0:
         if gcd(P, P.derivative()).degree > 0:
@@ -318,11 +306,13 @@ def _proved_degree(fact: SquareCofactor) -> GaloisResult | None:
 def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     """The record of ``seq`` at p.
 
-    The truncation A is certified with the cofactor P = 1, then with
-    gcd(A, L) when ``seq.lead`` = L is set and the gcd has positive degree.
-    If neither is proved, one squarefree decomposition gives both the
-    factorization and the degree.  A certified factorization is the one the
-    decomposition gives, so the guesses change only the time a record
+    The truncation A is certified with the cofactor P = 1 unless c*A(x),
+    which is (c*B(x))^2 if P = 1, is a non-residue at some x in
+    1..FILTER_POINTS; then with gcd(A, L) when ``seq.lead`` = L is set and
+    the gcd has positive degree (a wrong one fails the exact division in
+    O(p)).  If neither is proved, one squarefree decomposition gives both
+    the factorization and the degree.  A certified factorization is the one
+    the decomposition gives, so the guesses change only the time a record
     takes, never the record.
 
     Why gcd(A, L) is often P: f = A * f(t^p), and f(t^p) has zero
@@ -340,12 +330,13 @@ def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     computations.
     """
     a = truncation_poly(seq, p)
-    a_values: list[int] = []  # A at the filter points, shared by the guesses
-    found = certify(a, FpPoly.one(p), a_values)
+    points = range(1, min(FILTER_POINTS, p - 1) + 1)
+    square = all(legendre(a.lc() * a.eval(x), p) >= 0 for x in points)
+    found = certify(a, FpPoly.one(p)) if square else None
     if not found and seq.lead is not None:
         guess = gcd(a, FpPoly(seq.lead, p))
         if guess.degree > 0:
-            found = certify(a, guess, a_values)
+            found = certify(a, guess)
     if not found:
         parts = a.squarefree_decomposition()  # shared by both results
         found = SquareCofactor.from_parts(a, parts), GaloisResult.from_parts(a, parts)

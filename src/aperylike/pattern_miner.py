@@ -24,7 +24,7 @@ from .families import in_classes
 from .finite_field import check_prime, factorize, is_prime, legendre
 from .fp_poly import FpPoly
 from .kummer_galois import TruncationRecord, compute_record
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, truncation_poly
 
 DEFAULT_DISCRIMINANTS = (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11)
 DEFAULT_MODULI = (3, 4, 6, 8, 12, 24)
@@ -171,20 +171,18 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[ClusterReport
     Two lifts that agree mod p have the same constant term, 0 or 1, so the
     coefficients alone key a candidate.  A small prime can pass the height
     heuristic with a wrong lift, so candidate matching always takes
-    precedence over seeding.  Primes whose tentative lift never matches any
-    candidate are returned separately.
+    precedence over seeding.  One pass suffices: a candidate seeded after
+    p, at q < p, has height h < (q-1)/2, so had p matched it, p's lift would
+    be that candidate, reliable at p, and p would have seeded it.  Primes
+    whose lift matches no candidate at their turn are returned ascending.
     """
     clusters: dict[tuple[int, ...], list[int]] = {}
-    pending: list[tuple[int, TruncationRecord, LiftedCofactor]] = []
-
-    def match(p: int, lift: LiftedCofactor):
-        target = FpPoly(lift.coeffs, p)
-        return sorted((key for key in clusters if FpPoly(key, p) == target),
-                      key=lambda k: (len(k), k))
-
+    unmatched: list[tuple[TruncationRecord, LiftedCofactor]] = []
     for rec in sorted(records, key=lambda r: -r.p):
         lift = lift_cofactor(rec.factorization.cofactor, rec.p)
-        hits = match(rec.p, lift)
+        target = FpPoly(lift.coeffs, rec.p)
+        hits = sorted((key for key in clusters if FpPoly(key, rec.p) == target),
+                      key=lambda k: (len(k), k))
         if len(hits) > 1:
             _warn("%s p=%d: cofactor matches %d candidates; taking %s",
                   rec.seq, rec.p, len(hits), list(hits[0]))
@@ -193,20 +191,14 @@ def cluster_records(records: list[TruncationRecord]) -> tuple[list[ClusterReport
         elif lift.reliable:
             clusters.setdefault(lift.coeffs, []).append(rec.p)
         else:
-            pending.append((rec.p, rec, lift))
-
-    unmatched: list[int] = []
-    for p, rec, lift in sorted(pending):
-        hits = match(p, lift)
-        if hits:
-            clusters[hits[0]].append(p)
-        else:
-            _warn("%s p=%d: tentative cofactor lift %s matches no candidate",
-                  rec.seq, p, list(lift.coeffs))
-            unmatched.append(p)
+            unmatched.append((rec, lift))
+    unmatched.reverse()  # ascending p
+    for rec, lift in unmatched:
+        _warn("%s p=%d: tentative cofactor lift %s matches no candidate",
+              rec.seq, rec.p, list(lift.coeffs))
 
     return [ClusterReport(key, None, tuple(sorted(clusters[key])), ())
-            for key in sorted(clusters, key=lambda k: (len(k), k))], unmatched
+            for key in sorted(clusters, key=lambda k: (len(k), k))], [r.p for r, _ in unmatched]
 
 
 # -- classifier inference --------------------------------------------------------------
@@ -423,7 +415,10 @@ def sweep(
     Fresh records come from ``compute_record``, serially or in the process
     pool, whose map hands each worker contiguous chunks of primes.  They are
     the records of the uncached primes and of the spot check, a seeded
-    sample of ~1% of the cache hits that the sequence can recompute: a hit
+    sample of ~1% of the cache hits that the sequence can recompute.  Such a
+    hit whose A is not the sequence's truncation (a line of another
+    sequence) is dropped with a warning and recomputed like an uncached
+    prime, so the spot check guards only ``compute_record`` itself.  A hit
     past the end of an external table is served from the cache alone.
     External sequences are skipped (with a warning) at uncached primes their
     table cannot cover.  A record depends on its prime alone, so results
@@ -434,6 +429,11 @@ def sweep(
     ps = primes_in_range(lo, hi)
     cached = read_cache(cache_path, seq.key, ps)
     size = seq.terms.size
+    for p in sorted(cached):
+        if (size is None or p <= size) and cached[p].trunc != truncation_poly(seq, p):
+            _warn("%s: cached record at p=%d is not this sequence's truncation; recomputed",
+                  seq.key, p)
+            del cached[p]
     checkable = [p for p in sorted(cached) if size is None or p <= size]
     sampled = set()
     if checkable:

@@ -7,6 +7,7 @@ import pytest
 from aperylike import cli, kernels, modular_relations
 from aperylike.cli import main
 from aperylike.fp_series import FpSeries
+from aperylike.pattern_miner import primes_in_range
 from tests.conftest import exact_terms
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -210,6 +211,24 @@ class TestVerify:
         prefix.write_text("".join(f"{n} {v}\n" for n, v in enumerate(exact_terms("apery")[:41])))
         code, out, _ = run(capsys, "verify", "lucas", "--seq", f"@{prefix}", "--prime", "101")
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv, need", [
+        (["lucas"], "at p=59 needs 60"),
+        (["kummer"], "at p=59 needs 177"),
+        (["kummer", "--order", "60"], "at p=59 needs 60"),
+    ], ids=["lucas", "kummer", "kummer-order"])
+    def test_short_table_refused_before_any_pass(self, capsys, tmp_path, argv, need):
+        # a 51-term Apery table covers lucas up to p = 47 and kummer up to
+        # p = 17; a range past that is refused up front, with no PASS line
+        path = tmp_path / "short.b"
+        path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(exact_terms("apery")[:51])))
+        code, out, err = run(capsys, "verify", *argv, "--seq", f"@{path}", "--primes", "5..60")
+        assert (code, out) == (2, "")
+        assert f"external:short has 51 terms; verify {argv[0]} {need}" in err
+        for check, hi in (("lucas", 47), ("kummer", 17)):
+            code, out, _ = run(capsys, "verify", check, "--seq", f"@{path}",
+                               "--primes", f"5..{hi}")
+            assert code == 0 and out.count("PASS") == len(primes_in_range(5, hi))
 
     def test_reversed_range_is_2(self, capsys):
         code, out, err = run(capsys, "verify", "ode", "--primes", "9..4")

@@ -170,11 +170,19 @@ class TestCertify:
         assert decomposed(a)[0] == SquareCofactor(2, cofactor, FpPoly.one(p))
         assert certify(a, cofactor) is None
 
-    @pytest.mark.parametrize("filter_points", [kummer_galois.FILTER_POINTS, 0],
-                             ids=["filter", "no-filter"])
-    def test_never_contradicts_the_decomposition(self, rng, monkeypatch, filter_points):
-        # with the pre-filter off, only the exact checks reject a wrong guess
-        monkeypatch.setattr(kummer_galois, "FILTER_POINTS", filter_points)
+    def test_cofactor_sharing_a_root_with_the_root(self):
+        # A = (t-1)^3 (t-2)^6: P = t-1 and B = (t-1)(t-2)^3 share the root 1,
+        # so the multiplicity gcd is 3, not 1, and the degree is 2, not 6
+        p = 7
+        a = FpPoly([-1, 1], p) ** 3 * FpPoly([-2, 1], p) ** 6
+        fact, gal = decomposed(a)
+        assert fact == SquareCofactor(1, FpPoly([-1, 1], p),
+                                      FpPoly([-1, 1], p) * FpPoly([-2, 1], p) ** 3)
+        assert gal.degree == 2
+        assert certify(a, FpPoly([-1, 1], p)) is None
+
+    def test_never_contradicts_the_decomposition(self, rng):
+        # certify has no pre-filter: only the exact checks reject a wrong guess
         certified = 0
         for _ in range(300):
             p = rng.choice((5, 13, 17, 29, 31))

@@ -223,6 +223,20 @@ class TestSweepCache:
         # the recomputed record is appended, so the last line for p = 13 wins
         assert json.loads(cache.read_text().splitlines()[-1]) == out[3]
 
+    def test_degree_of_a_shared_root_not_trusted(self, tmp_path, caplog):
+        # A = (t-1)^3 (t-2)^6 at p = 7 has degree 2; P = t-1 and
+        # B = (t-1)(t-2)^3 re-expand to A, but P shares a root with B, so a
+        # claimed degree 6 (multiplicity gcd 1) must not be proved from them
+        p = 7
+        P, B = FpPoly([-1, 1], p), FpPoly([-1, 1], p) * FpPoly([-2, 1], p) ** 3
+        line = {"seq": "x", "p": p, "A": list((P * B * B).coeffs), "c": 1,
+                "P": list(P.coeffs), "B": list(B.coeffs), "degree": 6, "label": "FULL"}
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps(line) + "\n")
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            assert read_cache(cache, "x", [p]) == {}
+        assert "degree 6 is not the degree 2 of A" in caplog.text
+
     def test_invalid_prime_skipped(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
         clean = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30)]
@@ -334,9 +348,9 @@ class TestSweepCache:
 
     def test_stale_hit_recomputed_once(self, tmp_path, monkeypatch, caplog):
         cache = tmp_path / "cache.jsonl"
-        fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
+        fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60)}
         # the Domb records filed under apery: each line passes every check of
-        # the reader, but its A is not Apery's
+        # the reader, but its A is not Apery's truncation
         tampered = [dict(r.to_json_dict(), seq="apery") for r in sweep(CATALOG["domb"], 5, 60)]
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
 
@@ -349,13 +363,36 @@ class TestSweepCache:
         monkeypatch.setattr(pattern_miner, "compute_record", counting)
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
             out = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
+        # every hit is rejected and recomputed once, like an uncached prime;
+        # no hit is left for the spot check to sample
+        assert out == fresh
+        assert calls == sorted(fresh)
+        for p in fresh:
+            assert f"cached record at p={p} is not this sequence's truncation" in caplog.text
+        assert "is stale" not in caplog.text
+
+    def test_spot_check_replaces_a_stale_hit(self, tmp_path, monkeypatch, caplog):
+        # every line is Apery's own, so only a compute_record that disagrees
+        # with the cache can make the sampled hit stale
+        cache = tmp_path / "cache.jsonl"
+        sweep(CATALOG["apery"], 5, 60, cache_path=cache)
+        lines = cache.read_text().splitlines()
+
+        def domb(seq, p):
+            rec = compute_record(CATALOG["domb"], p)
+            return TruncationRecord(seq.key, p, rec.trunc, rec.factorization, rec.galois)
+
+        monkeypatch.setattr(pattern_miner, "compute_record", domb)
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            out = {r.p: r for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
         # 15 cached primes: the spot check samples exactly one
-        assert len(calls) == 1
-        sampled = calls[0]
-        assert out[sampled] == fresh[sampled]
-        stale = {data["p"]: data for data in tampered}
-        assert all(out[p] == stale[p] != fresh[p] for p in out if p != sampled)
+        assert caplog.text.count("is stale") == 1
+        added = cache.read_text().splitlines()[len(lines):]
+        assert len(added) == 1
+        sampled = json.loads(added[0])["p"]
         assert f"cached record at p={sampled} is stale" in caplog.text
+        assert out[sampled] == domb(CATALOG["apery"], sampled)
+        assert added[0] == json.dumps(out[sampled].to_json_dict(), sort_keys=True)
 
     def test_resumed_sweep_starts_with_cached_lifts(self, tmp_path, monkeypatch):
         # every Apery record from 300 up is certified from P = 1 or from
@@ -398,25 +435,23 @@ class TestSweepCache:
 
     def test_stale_hit_appended(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
-        fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
-        # self-consistent stale lines: the Domb records filed under apery
+        fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60)}
+        # self-consistent lines of another sequence: the Domb records filed
+        # under apery
         tampered = [dict(r.to_json_dict(), seq="apery") for r in sweep(CATALOG["domb"], 5, 60)]
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
             sweep(CATALOG["apery"], 5, 60, cache_path=cache)
         lines = cache.read_text().splitlines()
-        assert len(lines) == len(tampered) + 1
-        corrected = json.loads(lines[-1])
-        sampled = corrected["p"]
-        assert corrected == fresh[sampled]
-        assert f"cached record at p={sampled} is stale" in caplog.text
-        # the last line for a prime wins: the second sweep reads the
-        # corrected record, samples the same prime and finds it sound
+        added = [json.loads(line) for line in lines[len(tampered):]]
+        assert added == [fresh[p] for p in sorted(fresh)]
+        # the last line for a prime wins: the second sweep reads the corrected
+        # records, and its spot check finds the sampled one sound
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
             out = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
-        assert out[sampled] == fresh[sampled]
-        assert "is stale" not in caplog.text
+        assert out == fresh
+        assert caplog.text == ""
         assert len(cache.read_text().splitlines()) == len(lines)
 
 
@@ -458,15 +493,16 @@ class TestRecords:
         truncs = [truncation_poly(seq, p) for p in ps]
         want = [TruncationRecord(seq.key, p, a, a.square_cofactor(), galois_degree(a))
                 for p, a in zip(ps, truncs)]
-        assert [compute_record(seq, p) for p in ps] == want
-        # a wrong guess is rejected or proved exactly, also with the
-        # pre-filter off, when only the exact checks reject it
+        # also with the square test off, when certify is tried with P = 1 at
+        # every prime and only its exact checks reject the guess
         for filter_points in (kummer_galois.FILTER_POINTS, 0):
             monkeypatch.setattr(kummer_galois, "FILTER_POINTS", filter_points)
-            for rec in want:
-                for guess in ADVERSARIAL_GUESSES:
-                    got = certify(rec.trunc, FpPoly(guess, rec.p))
-                    assert got in (None, (rec.factorization, rec.galois)), (rec.p, guess)
+            assert [compute_record(seq, p) for p in ps] == want
+        # a wrong guess is rejected or proved exactly
+        for rec in want:
+            for guess in ADVERSARIAL_GUESSES:
+                got = certify(rec.trunc, FpPoly(guess, rec.p))
+                assert got in (None, (rec.factorization, rec.galois)), (rec.p, guess)
 
     def test_one_decomposition_after_the_first_exact_lift(self, monkeypatch, capsys):
         # every Apery prime from 71 up is certified from P = 1 or from
