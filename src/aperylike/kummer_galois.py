@@ -7,8 +7,9 @@ leading constant and on the gcd of the multiplicities of A_p.
 
 ``compute_record`` guesses the cofactor P of A_p = c * P * B^2, ``certify``
 only proves a guess, and the squarefree decomposition gives both when no
-guess is proved; the degree of a cached record is proved the same way
-(``_proved_degree``).
+guess is proved.  ``TruncationRecord.from_json_dict`` judges a cache line
+against its own sequence: its A must be the truncation, and its degree is
+proved the same way (``_proved_degree``).
 """
 from __future__ import annotations
 
@@ -194,14 +195,16 @@ class TruncationRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncationRecord":
-        """Rebuild a record from its cache form; raises ValueError unless p, c,
-        degree and every coefficient of A, P and B are ints (not floats,
-        strings or bools), p is a prime >= 5, 1 <= c < p, P and B are monic,
-        c*P*B^2 == A, P is squarefree and degree is the degree of A, proved
-        by ``_proved_degree`` or else by the decomposition.  Together the
-        checks on c, P, B and the re-expansion make A nonzero with leading
-        coefficient c."""
+    def from_json_dict(cls, data: dict, seq: SequenceSpec) -> "TruncationRecord":
+        """The record of ``seq`` from its cache form; raises ValueError unless
+        the line is filed under ``seq.key``, p, c, degree and the coefficients
+        of A, P and B are ints (not floats, strings or bools), p is a prime
+        >= 5, 1 <= c < p, P and B are monic, A is the coefficient list of
+        ``truncation_poly(seq, p)`` (compared, never parsed), c*P*B^2 == A, P
+        is squarefree and degree is the degree of A, proved by
+        ``_proved_degree`` or else by the decomposition."""
+        if data["seq"] != seq.key:
+            raise ValueError(f"filed under {data['seq']!r}, not {seq.key!r}")
         for key in ("p", "c", "degree"):
             if type(data[key]) is not int:
                 raise ValueError(f"{key} = {data[key]!r} is not an integer")
@@ -212,10 +215,12 @@ class TruncationRecord:
         c = data["c"]
         if not 1 <= c < p:
             raise ValueError(f"c = {c} is not in 1..{p - 1}")
-        trunc = FpPoly(data["A"], p)
         fact = SquareCofactor(c, FpPoly(data["P"], p), FpPoly(data["B"], p))
         if fact.cofactor.lc() != 1 or fact.root.lc() != 1:
             raise ValueError("P and B must be monic")
+        trunc = truncation_poly(seq, p)
+        if data["A"] != list(trunc.coeffs):
+            raise ValueError(f"A is not the truncation of {seq.key} at p={p}")
         if fact.expand() != trunc:
             raise ValueError("c*P*B^2 does not re-expand to A")
         if gcd(fact.cofactor, fact.cofactor.derivative()).degree != 0:
@@ -223,7 +228,7 @@ class TruncationRecord:
         gal = _proved_degree(fact) or galois_degree(trunc)
         if data["degree"] != gal.degree:
             raise ValueError(f"degree {data['degree']} is not the degree {gal.degree} of A")
-        return cls(seq=data["seq"], p=p, trunc=trunc, factorization=fact, galois=gal)
+        return cls(seq=seq.key, p=p, trunc=trunc, factorization=fact, galois=gal)
 
 
 # The square test of ``compute_record`` reads c*A at x = 1..FILTER_POINTS,
@@ -304,7 +309,7 @@ def _proved_degree(fact: SquareCofactor) -> GaloisResult | None:
 
 
 def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
-    """The record of ``seq`` at p.
+    """The record of ``seq`` at p; ValueError when the truncation A is zero.
 
     The truncation A is certified with the cofactor P = 1 unless c*A(x),
     which is (c*B(x))^2 if P = 1, is a non-residue at some x in
@@ -330,6 +335,8 @@ def compute_record(seq: SequenceSpec, p: int) -> TruncationRecord:
     computations.
     """
     a = truncation_poly(seq, p)
+    if not a:
+        raise ValueError(f"the truncation of {seq.key} at p={p} is zero")
     points = range(1, min(FILTER_POINTS, p - 1) + 1)
     square = all(legendre(a.lc() * a.eval(x), p) >= 0 for x in points)
     found = certify(a, FpPoly.one(p)) if square else None

@@ -24,7 +24,7 @@ from .families import in_classes
 from .finite_field import check_prime, factorize, is_prime, legendre
 from .fp_poly import FpPoly
 from .kummer_galois import TruncationRecord, compute_record
-from .sequences import SequenceSpec, truncation_poly
+from .sequences import SequenceSpec
 
 DEFAULT_DISCRIMINANTS = (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11)
 DEFAULT_MODULI = (3, 4, 6, 8, 12, 24)
@@ -82,7 +82,7 @@ def _symmetric(c: int, p: int) -> int:
 def lift_cofactor(cofactor: FpPoly, p: int) -> LiftedCofactor:
     if not cofactor:
         raise ZeroDivisionError("cannot lift the zero polynomial")
-    c0 = cofactor.eval(0)
+    c0 = cofactor[0]
     scaled = cofactor.scale(pow(c0, p - 2, p)) if c0 else cofactor.monic()
     lifted = tuple(_symmetric(c, p) for c in scaled.coeffs)
     height = max((abs(c) for c in lifted), default=0)
@@ -346,14 +346,13 @@ def infer_conditions(
 # -- sweeping + cache --------------------------------------------------------------
 
 
-def read_cache(path, seq_key: str, primes) -> dict[int, TruncationRecord]:
-    """The cached records of ``seq_key`` at ``primes``, the last line for a
-    prime winning.  A line of another prime goes through ``check_prime``
-    alone; a line that fails a check is skipped with a warning."""
-    wanted = set(primes)
-    out: dict[int, TruncationRecord] = {}
+def read_cache(path, seq: SequenceSpec, primes) -> dict[int, TruncationRecord]:
+    """The cached records of ``seq`` at ``primes``: the last line for each
+    prime, judged by ``TruncationRecord.from_json_dict``.  A line of another
+    prime gets ``check_prime`` alone; a failing line is skipped with a warning."""
     if not path or not os.path.exists(path):
-        return out
+        return {}
+    wanted, last = set(primes), {}  # last: p -> (line number, parsed line)
     import json
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -364,16 +363,23 @@ def read_cache(path, seq_key: str, primes) -> dict[int, TruncationRecord]:
                 data = json.loads(line)
                 if not isinstance(data, dict):
                     raise ValueError("not a JSON object")
-                if data.get("seq") != seq_key:
+                if data.get("seq") != seq.key:
                     continue
-                if type(data["p"]) is int and data["p"] not in wanted:
-                    check_prime(data["p"])
-                    continue
-                rec = TruncationRecord.from_json_dict(data)
+                p = data["p"]
+                if type(p) is not int:
+                    raise ValueError(f"p = {p!r} is not an integer")
+                if p in wanted:
+                    last[p] = lineno, data
+                else:
+                    check_prime(p)
             except (ValueError, KeyError, TypeError) as exc:
                 _warn("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
-                continue
-            out[rec.p] = rec
+    out: dict[int, TruncationRecord] = {}
+    for p, (lineno, data) in sorted(last.items()):
+        try:
+            out[p] = TruncationRecord.from_json_dict(data, seq)
+        except (ValueError, KeyError, TypeError) as exc:
+            _warn("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
     return out
 
 
@@ -410,42 +416,28 @@ def sweep(
     cache_path=None,
     threads: int = 1,
 ) -> list[TruncationRecord]:
-    """One TruncationRecord per prime in [lo, hi], cache-backed.
+    """One TruncationRecord per prime in [lo, hi] that the sequence covers,
+    cache-backed; an external table skips, with a warning, every prime past
+    its end.
 
     Fresh records come from ``compute_record``, serially or in the process
-    pool, whose map hands each worker contiguous chunks of primes.  They are
-    the records of the uncached primes and of the spot check, a seeded
-    sample of ~1% of the cache hits that the sequence can recompute.  Such a
-    hit whose A is not the sequence's truncation (a line of another
-    sequence) is dropped with a warning and recomputed like an uncached
-    prime, so the spot check guards only ``compute_record`` itself.  A hit
-    past the end of an external table is served from the cache alone.
-    External sequences are skipped (with a warning) at uncached primes their
-    table cannot cover.  A record depends on its prime alone, so results
-    are sorted by p and independent of thread count.  A sampled hit that
-    differs from its fresh record is stale: it is replaced and, like every
-    new record, appended to the cache; the last line for a prime wins.
+    pool, whose map hands each worker contiguous chunks of primes: those of
+    the uncached primes and of the spot check, a seeded ~1% sample of the
+    hits.  ``read_cache`` has judged every hit against the sequence, so the
+    spot check guards only ``compute_record``.  A sampled hit that differs
+    from its fresh record is stale: it is replaced and, like every new
+    record, appended to the cache.  A record depends on its prime alone, so
+    results are sorted by p and independent of thread count.
     """
     ps = primes_in_range(lo, hi)
-    cached = read_cache(cache_path, seq.key, ps)
-    size = seq.terms.size
-    for p in sorted(cached):
-        if (size is None or p <= size) and cached[p].trunc != truncation_poly(seq, p):
-            _warn("%s: cached record at p=%d is not this sequence's truncation; recomputed",
-                  seq.key, p)
-            del cached[p]
-    checkable = [p for p in sorted(cached) if size is None or p <= size]
-    sampled = set()
-    if checkable:
-        # seeded, so the sample and hence the output are reproducible
-        rng = random.Random(f"{seq.key}:{lo}:{hi}")
-        sampled = set(rng.sample(checkable, max(1, len(checkable) // 100)))
-    todo = []
-    for p in ps:
-        if p not in cached and size is not None and size < p:
-            _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
-        elif p not in cached or p in sampled:
-            todo.append(p)
+    covered = [p for p in ps if seq.terms.size is None or p <= seq.terms.size]
+    for p in ps[len(covered):]:
+        _warn("%s: table too short for p=%d; prime skipped", seq.key, p)
+    cached = read_cache(cache_path, seq, covered)
+    # seeded, so the sample and hence the output are reproducible
+    sample = random.Random(f"{seq.key}:{lo}:{hi}").sample
+    sampled = set(sample(sorted(cached), max(1, len(cached) // 100))) if cached else set()
+    todo = [p for p in covered if p not in cached or p in sampled]
 
     if threads > 1 and len(todo) > 1:
         # imported here, so that serial runs do not load multiprocessing
@@ -515,10 +507,11 @@ def report_table(report: PatternReport, fmt: str = "text") -> str:
     if fmt == "csv":
         lines = ["seq,lo,hi,status,cofactor,classifier,primes,exceptions"]
         for cl in report.clusters:
+            # a congruence class lists its residues with commas
+            cls = cl.classifier.describe() if cl.classifier else ""
             lines.append(",".join([
                 report.seq, str(report.lo), str(report.hi), report.status,
-                poly_str(cl.cofactor).replace(" ", ""),
-                (cl.classifier.describe() if cl.classifier else "").replace(" ", ""),
+                poly_str(cl.cofactor).replace(" ", ""), cls.replace(" ", "").replace(",", ";"),
                 " ".join(map(str, cl.primes)),
                 " ".join(map(str, cl.exceptions)),
             ]))

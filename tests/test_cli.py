@@ -54,6 +54,19 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("galois", "--prime", "7"),
+        ("cofactor", "--prime", "7"),
+        ("mine", "--primes", "5..7", "--threads", "2"),  # raised in a pool worker
+    ], ids=["galois", "cofactor", "mine"])
+    def test_zero_truncation_is_2(self, capsys, tmp_path, argv):
+        # a(n) = 7(n+1): every coefficient of A_7 vanishes mod 7
+        path = tmp_path / "z.b"
+        path.write_text("".join(f"{n} {7 * (n + 1)}\n" for n in range(8)))
+        code, out, err = run(capsys, argv[0], "--seq", f"@{path}", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: the truncation of external:z at p=7 is zero\n"
+
     def test_prime_and_primes_conflict(self, capsys):
         code, _, _ = run(capsys, "galois", "--seq", "apery",
                          "--prime", "7", "--primes", "5..20")

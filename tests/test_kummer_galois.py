@@ -336,7 +336,7 @@ class TestRecordSerialization:
     def test_roundtrip(self):
         rec = compute_record(CATALOG["apery"], 13)
         data = rec.to_json_dict()
-        back = rec.from_json_dict(data)
+        back = rec.from_json_dict(data, CATALOG["apery"])
         assert back == rec
         assert back.trunc == rec.trunc
         assert back.factorization.cofactor == rec.factorization.cofactor

@@ -1,8 +1,11 @@
 import concurrent.futures
 import json
 import logging
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,14 +13,16 @@ from aperylike import cli, kummer_galois, pattern_miner
 from aperylike.fp_poly import FpPoly, SquareCofactor
 from aperylike.kummer_galois import (GaloisResult, TruncationRecord, certify,
                                      compute_record, galois_degree)
-from aperylike.pattern_miner import (AlwaysTrue, CongruenceClass,
-                                     LegendreProfile, cluster_records,
+from aperylike.pattern_miner import (AlwaysTrue, ClusterReport, CongruenceClass,
+                                     LegendreProfile, PatternReport, cluster_records,
                                      infer_conditions, lift_cofactor, mine,
                                      poly_str, primes_in_range, read_cache,
                                      report_table, sweep)
 from aperylike.sequences import CATALOG, get_sequence, load_external, truncation_poly
 from tests.conftest import exact_terms
 from tests.test_golden import write_apery_bfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestPrimesInRange:
@@ -180,7 +185,7 @@ class TestSweepCache:
             fh.write(json.dumps({"seq": "apery", "p": 999}) + "\n")
             for value in ([1, 2], None, 3, "apery"):  # valid JSON, not an object
                 fh.write(json.dumps(value) + "\n")
-        loaded = read_cache(cache, "apery", primes_in_range(5, 30))
+        loaded = read_cache(cache, CATALOG["apery"], primes_in_range(5, 30))
         assert sorted(loaded) == primes_in_range(5, 30)
 
     def test_impossible_degree_skipped(self, tmp_path, caplog):
@@ -195,7 +200,7 @@ class TestSweepCache:
                 data["degree"] = 3  # does not divide p-1 = 10
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
+            loaded = read_cache(cache, CATALOG["apery"], primes_in_range(5, 30))
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in (7, 11)]
         assert caplog.text.count("skipping corrupt cache line") == 2
         assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
@@ -215,7 +220,7 @@ class TestSweepCache:
                 data.update(degree=6, label="S")
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
+            loaded = read_cache(cache, CATALOG["apery"], primes_in_range(5, 30))
             out = [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)]
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p != 13]
         assert "degree 6 is not the degree 12 of A" in caplog.text
@@ -224,18 +229,24 @@ class TestSweepCache:
         assert json.loads(cache.read_text().splitlines()[-1]) == out[3]
 
     def test_degree_of_a_shared_root_not_trusted(self, tmp_path, caplog):
-        # A = (t-1)^3 (t-2)^6 at p = 7 has degree 2; P = t-1 and
+        # A = (t-1)^3 (t-2)^6 at p = 13 has degree 4; P = t-1 and
         # B = (t-1)(t-2)^3 re-expand to A, but P shares a root with B, so a
-        # claimed degree 6 (multiplicity gcd 1) must not be proved from them
-        p = 7
+        # claimed degree 12 (multiplicity gcd 1) must not be proved from them.
+        # A 13-term table holding A's coefficients makes A its truncation.
+        p = 13
         P, B = FpPoly([-1, 1], p), FpPoly([-1, 1], p) * FpPoly([-2, 1], p) ** 3
-        line = {"seq": "x", "p": p, "A": list((P * B * B).coeffs), "c": 1,
-                "P": list(P.coeffs), "B": list(B.coeffs), "degree": 6, "label": "FULL"}
+        a = P * B * B
+        table = tmp_path / "x.b"
+        table.write_text("".join(f"{n} {a[n]}\n" for n in range(p)))
+        seq = load_external(table)
+        assert truncation_poly(seq, p) == a
+        line = {"seq": seq.key, "p": p, "A": list(a.coeffs), "c": 1,
+                "P": list(P.coeffs), "B": list(B.coeffs), "degree": 12, "label": "FULL"}
         cache = tmp_path / "cache.jsonl"
         cache.write_text(json.dumps(line) + "\n")
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            assert read_cache(cache, "x", [p]) == {}
-        assert "degree 6 is not the degree 2 of A" in caplog.text
+            assert read_cache(cache, seq, [p]) == {}
+        assert "degree 12 is not the degree 4 of A" in caplog.text
 
     def test_invalid_prime_skipped(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
@@ -250,7 +261,7 @@ class TestSweepCache:
                                    degree=1)
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
+            loaded = read_cache(cache, CATALOG["apery"], primes_in_range(5, 30))
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in bad_p]
         assert caplog.text.count("skipping corrupt cache line") == 3
         assert [r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 30, cache_path=cache)] == clean
@@ -278,7 +289,7 @@ class TestSweepCache:
                 data["c"] += p
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
+            loaded = read_cache(cache, CATALOG["apery"], primes_in_range(5, 30))
         bad = (13, 17, 19, 23, 29)
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p not in bad]
         assert caplog.text.count("skipping corrupt cache line") == 5
@@ -311,7 +322,7 @@ class TestSweepCache:
                 data[field] = value
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            loaded = read_cache(cache, "apery", primes_in_range(5, 30))
+            loaded = read_cache(cache, CATALOG["apery"], primes_in_range(5, 30))
         assert sorted(loaded) == [p for p in primes_in_range(5, 30) if p != 13]
         assert caplog.text.count("skipping corrupt cache line") == 1
         assert "is not an integer" in caplog.text
@@ -321,7 +332,7 @@ class TestSweepCache:
     def test_cache_isolates_sequences(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         sweep(CATALOG["apery"], 5, 30, cache_path=cache)
-        assert read_cache(cache, "franel", primes_in_range(5, 30)) == {}
+        assert read_cache(cache, CATALOG["franel"], primes_in_range(5, 30)) == {}
 
     def test_subrange_reuses_cache(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -337,9 +348,9 @@ class TestSweepCache:
         calls = []
         original = TruncationRecord.from_json_dict.__func__
 
-        def counting(cls, data):
+        def counting(cls, data, seq):
             calls.append(data["p"])
-            return original(cls, data)
+            return original(cls, data, seq)
 
         monkeypatch.setattr(TruncationRecord, "from_json_dict", classmethod(counting))
         part = sweep(CATALOG["apery"], 5, 60, cache_path=cache)
@@ -349,8 +360,8 @@ class TestSweepCache:
     def test_stale_hit_recomputed_once(self, tmp_path, monkeypatch, caplog):
         cache = tmp_path / "cache.jsonl"
         fresh = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60)}
-        # the Domb records filed under apery: each line passes every check of
-        # the reader, but its A is not Apery's truncation
+        # the Domb records filed under apery: each line is self-consistent,
+        # but its A is not Apery's truncation
         tampered = [dict(r.to_json_dict(), seq="apery") for r in sweep(CATALOG["domb"], 5, 60)]
         cache.write_text("".join(json.dumps(data) + "\n" for data in tampered))
 
@@ -363,12 +374,13 @@ class TestSweepCache:
         monkeypatch.setattr(pattern_miner, "compute_record", counting)
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
             out = {r.p: r.to_json_dict() for r in sweep(CATALOG["apery"], 5, 60, cache_path=cache)}
-        # every hit is rejected and recomputed once, like an uncached prime;
-        # no hit is left for the spot check to sample
+        # every line is rejected by the reader and recomputed once, like an
+        # uncached prime; no hit is left for the spot check to sample
         assert out == fresh
         assert calls == sorted(fresh)
         for p in fresh:
-            assert f"cached record at p={p} is not this sequence's truncation" in caplog.text
+            assert (f"skipping corrupt cache line (A is not the truncation of apery at p={p})"
+                    in caplog.text)
         assert "is stale" not in caplog.text
 
     def test_spot_check_replaces_a_stale_hit(self, tmp_path, monkeypatch, caplog):
@@ -414,24 +426,50 @@ class TestSweepCache:
         assert calls == []
 
     def test_cached_primes_beyond_a_table(self, tmp_path, caplog):
-        # a cache written from a longer b-file of the same name serves the
-        # primes past the shorter table without the skip warning; only the
-        # spot check recomputes, and it samples only primes within the table
-        terms = exact_terms("apery")
+        # a cache written from a 110-term Domb table and read through a
+        # 40-term Apery table: both files are apery.b, so both sequences are
+        # external:apery.  No prime past the short table is served, cached
+        # or not, and the Domb lines within it are rejected by the reader.
         (tmp_path / "long").mkdir()
         (tmp_path / "short").mkdir()
-        for name, count in (("long", 110), ("short", 40)):
+        for name, key, count in (("long", "domb", 110), ("short", "apery", 40)):
             (tmp_path / name / "apery.b").write_text(
-                "".join(f"{n} {v}\n" for n, v in enumerate(terms[:count])))
+                "".join(f"{n} {v}\n" for n, v in enumerate(exact_terms(key)[:count])))
         cache = tmp_path / "cache.jsonl"
-        want = sweep(load_external(tmp_path / "long" / "apery.b"), 5, 101, cache_path=cache)
+        sweep(load_external(tmp_path / "long" / "apery.b"), 5, 101, cache_path=cache)
         short = load_external(tmp_path / "short" / "apery.b")
+        fresh = sweep(short, 5, 37)
         with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
-            assert sweep(short, 5, 100, cache_path=cache) == want[:-1]
-            # drawn from every hit, the seeded sample of 5..101 would be
-            # p = 67, past the short table
-            assert sweep(short, 5, 101, cache_path=cache) == want
+            assert sweep(short, 5, 101, cache_path=cache) == fresh
+        for p in primes_in_range(5, 101):
+            skipped = f"external:apery: table too short for p={p}; prime skipped"
+            assert (skipped in caplog.text) == (p > 40)
+            rejected = f"(A is not the truncation of external:apery at p={p})"
+            assert (rejected in caplog.text) == (p < 40)
+
+    def test_concurrent_sweeps_share_one_cache(self, tmp_path, caplog):
+        # two processes append to one cache over overlapping ranges at once;
+        # every line they leave must read back, and serve the cold records
+        cache = tmp_path / "cache.jsonl"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        runs = [subprocess.Popen([sys.executable, "-m", "aperylike.cli", "mine", "--seq",
+                                  "apery", "--primes", primes, "--threads", "1",
+                                  "--cache", str(cache)],
+                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                for primes in ("5..400", "200..600")]
+        try:
+            for run in runs:
+                _, err = run.communicate(timeout=300)
+                assert (run.returncode, err) == (0, b"")
+        finally:
+            for run in runs:
+                run.kill()  # a no-op for a process that has exited
+        with caplog.at_level(logging.WARNING, logger="aperylike.pattern_miner"):
+            loaded = read_cache(cache, CATALOG["apery"], primes_in_range(5, 600))
+            warm = sweep(CATALOG["apery"], 5, 600, cache_path=cache)
         assert caplog.text == ""
+        assert sorted(loaded) == primes_in_range(5, 600)
+        assert warm == sweep(CATALOG["apery"], 5, 600)
 
     def test_stale_hit_appended(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
@@ -646,6 +684,16 @@ class TestReportFormats:
         assert data["range"] == [5, 120]
         for cl in data["clusters"]:
             assert set(cl) >= {"cofactor", "classifier", "primes", "exceptions"}
+
+    def test_csv_congruence_classifier_keeps_one_field(self):
+        # describe() lists residues with commas; as in `catalog --format csv`,
+        # a comma inside a field is written as ';'
+        clusters = (ClusterReport((1,), CongruenceClass(24, (5, 7, 11)), (5, 7, 11), ()),
+                    ClusterReport((1, 1), CongruenceClass(24, (1, 13)), (13,), ()))
+        report = PatternReport("x", 5, 13, "VALIDATED", clusters)
+        lines = report_table(report, "csv").splitlines()
+        assert [len(line.split(",")) for line in lines] == [8, 8, 8]
+        assert lines[1].split(",")[5] == "pmod24in{5;7;11}"
 
     def test_csv_header(self, report):
         lines = report_table(report, "csv").splitlines()
